@@ -7,11 +7,12 @@ equal as values.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DuplicateEdge,
+    EmptyGraph,
     EndpointOutOfRange,
     LevelOutOfRange,
     LoopEdge,
@@ -38,7 +39,15 @@ class Graph:
         return len(self.edges)
 
     def adjacency(self) -> list[list[int]]:
-        """Neighbor lists, ascending. Built fresh on each call."""
+        """Neighbor lists, ascending.
+
+        Built on the first call and cached on the graph: every later call
+        returns the same lists, so callers must not mutate them.
+        """
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
@@ -117,27 +126,28 @@ class Component:
 def components(g: Graph) -> list[Component]:
     """Connected components, ordered by their smallest original vertex id."""
     adj = g.adjacency()
-    unseen = set(range(g.n))
-    out: list[Component] = []
+    comp_of = [-1] * g.n
+    groups: list[list[int]] = []
     for start in range(g.n):
-        if start not in unseen:
+        if comp_of[start] >= 0:
             continue
+        cid = len(groups)
+        comp_of[start] = cid
         verts = [start]
-        unseen.discard(start)
-        queue = deque([start])
-        while queue:
-            w = queue.popleft()
+        for w in verts:  # grows while it is walked: a breadth-first queue
             for nb in adj[w]:
-                if nb in unseen:
-                    unseen.discard(nb)
+                if comp_of[nb] < 0:
+                    comp_of[nb] = cid
                     verts.append(nb)
-                    queue.append(nb)
+        groups.append(verts)
+    comp_edges: list[list[Edge]] = [[] for _ in groups]
+    for e in g.edges:
+        comp_edges[comp_of[e[0]]].append(e)
+    out: list[Component] = []
+    for verts, edges in zip(groups, comp_edges):
         verts.sort()
         back = {orig: new for new, orig in enumerate(verts)}
-        vset = set(verts)
-        sub_edges = [
-            (back[u], back[v]) for u, v in g.edges if u in vset and v in vset
-        ]
+        sub_edges = [(back[u], back[v]) for u, v in edges]
         out.append(Component(build_graph(len(verts), sub_edges), tuple(verts)))
     return out
 
@@ -159,6 +169,8 @@ class LevelPartition:
 
 def default_root(g: Graph) -> int:
     """Lowest-id vertex of maximum degree."""
+    if g.n == 0:
+        raise EmptyGraph("a graph with no vertices has no root")
     deg = g.degrees()
     best = max(deg)
     return deg.index(best)
@@ -174,17 +186,19 @@ def level_partition(g: Graph, root: int | None = None) -> LevelPartition:
     if not (0 <= root < g.n):
         raise RootOutOfRange(f"root {root} is not a vertex of a {g.n}-vertex graph")
     adj = g.adjacency()
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        w = queue.popleft()
-        for nb in adj[w]:
-            if nb not in dist:
-                dist[nb] = dist[w] + 1
-                queue.append(nb)
-    depth = max(dist.values())
-    layers = [sorted(v for v, dv in dist.items() if dv == i) for i in range(depth + 1)]
-    return LevelPartition(root, tuple(tuple(layer) for layer in layers))
+    seen = {root}
+    layers = [[root]]
+    while True:
+        nxt = []
+        for w in layers[-1]:
+            for nb in adj[w]:
+                if nb not in seen:
+                    seen.add(nb)
+                    nxt.append(nb)
+        if not nxt:
+            break
+        layers.append(nxt)
+    return LevelPartition(root, tuple(tuple(sorted(layer)) for layer in layers))
 
 
 def layer_subgraphs(g: Graph, p: LevelPartition, i: int) -> tuple[Graph, Graph]:
@@ -196,12 +210,16 @@ def layer_subgraphs(g: Graph, p: LevelPartition, i: int) -> tuple[Graph, Graph]:
         raise LevelOutOfRange(f"layer {i} out of range 1..{p.d}")
     here = set(p.levels[i])
     above = set(p.levels[i - 1])
-    intra = [e for e in g.edges if e[0] in here and e[1] in here]
-    cross = [
-        e
-        for e in g.edges
-        if (e[0] in here and e[1] in above) or (e[0] in above and e[1] in here)
-    ]
+    adj = g.adjacency()
+    intra: list[Edge] = []
+    cross: list[Edge] = []
+    for v in p.levels[i]:
+        for w in adj[v]:
+            if w in here:
+                if v < w:
+                    intra.append((v, w))
+            elif w in above:
+                cross.append(canonical_edge(v, w))
     return build_graph(g.n, intra), build_graph(g.n, cross)
 
 

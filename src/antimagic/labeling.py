@@ -84,11 +84,18 @@ class Verdict:
 
 def vertex_sums(f: EdgeLabeling) -> tuple[int, ...]:
     """Sum of incident edge labels per vertex; isolated vertices get 0."""
-    sums = [0] * f.graph.n
+    return tuple(_leading_sums(f, f.graph.n))
+
+
+def _leading_sums(f: EdgeLabeling, count: int) -> list[int]:
+    """Vertex sums of vertices 0..count-1 only."""
+    sums = [0] * count
     for (u, v), lab in zip(f.graph.edges, f.labels):
-        sums[u] += lab
-        sums[v] += lab
-    return tuple(sums)
+        if u < count:
+            sums[u] += lab
+        if v < count:
+            sums[v] += lab
+    return sums
 
 
 def verify_shifted(f: EdgeLabeling, k: int) -> Verdict:
@@ -117,7 +124,10 @@ def verify_shifted(f: EdgeLabeling, k: int) -> Verdict:
                 (g.edges[i], lab),
                 f"label {lab} on {g.edges[i]} outside [{lo}, {hi}]",
             )
-    sums = vertex_sums(f)
+    # At most 2m vertices touch an edge, so two of vertices 0..2m+1 are
+    # isolated and share the sum 0: the first collision lies in that prefix,
+    # and a huge n costs nothing.
+    sums = _leading_sums(f, min(g.n, 2 * g.m + 2))
     first_with: dict[int, int] = {}
     for v, s in enumerate(sums):
         if s in first_with:
@@ -230,9 +240,12 @@ def partial_vertex_sum(
     excluded = canonical_edge(*excluded)
     if v not in excluded:
         raise ValueError(f"excluded edge {excluded} is not incident to vertex {v}")
+    if not (0 <= v < g.n):
+        raise ValueError(f"{v} is not a vertex of a {g.n}-vertex graph")
     total = 0
-    for e in g.edges:
-        if v not in e or e == excluded:
+    for w in g.adjacency()[v]:
+        e = canonical_edge(v, w)
+        if e == excluded:
             continue
         if e not in labels:
             raise UnlabeledIncidentEdge(f"edge {e} at vertex {v} has no label yet")

@@ -103,22 +103,23 @@ def _edge_components(edges: Sequence[Edge]) -> list[list[Edge]]:
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    seen: set[int] = set()
-    out: list[list[Edge]] = []
+    comp_of: dict[int, int] = {}
+    count = 0
     for start in sorted(adj):
-        if start in seen:
+        if start in comp_of:
             continue
+        comp_of[start] = count
         stack = [start]
-        verts = {start}
-        seen.add(start)
         while stack:
             w = stack.pop()
             for nb in adj[w]:
-                if nb not in seen:
-                    seen.add(nb)
-                    verts.add(nb)
+                if nb not in comp_of:
+                    comp_of[nb] = count
                     stack.append(nb)
-        out.append([e for e in edges if e[0] in verts])
+        count += 1
+    out: list[list[Edge]] = [[] for _ in range(count)]
+    for e in edges:
+        out[comp_of[e[0]]].append(e)
     return out
 
 
@@ -224,26 +225,39 @@ def find_sigma_and_trails(h: Graph, deep: Iterable[int]) -> TrailDecomposition:
         if not incident[v]:
             raise NoValidSigma(f"deep vertex {v} has no incident cross edge")
 
+    # Depth-first search with an explicit stack, so a level with thousands
+    # of vertices cannot exhaust the recursion limit: chosen[i] is the edge
+    # reserved for deep_sorted[i], and tried[i] is where the scan of its
+    # candidates resumes after a backtrack.
     chosen: list[Edge] = []
     chosen_set: set[Edge] = set()
-
-    def search(idx: int) -> list[list[int]] | None:
+    tried = [0] * (len(deep_sorted) + 1)
+    split: list[list[int]] | None = None
+    idx = 0
+    while idx >= 0:
         if idx == len(deep_sorted):
             remainder = [e for e in h.edges if e not in chosen_set]
-            return _open_trail_split(remainder)
-        for e in incident[deep_sorted[idx]]:
-            if e in chosen_set:
+            split = _open_trail_split(remainder)
+            if split is not None:
+                break
+        else:
+            options = incident[deep_sorted[idx]]
+            i = tried[idx]
+            while i < len(options) and options[i] in chosen_set:
+                i += 1
+            if i < len(options):
+                tried[idx] = i + 1
+                chosen.append(options[i])
+                chosen_set.add(options[i])
+                idx += 1
+                tried[idx] = 0
                 continue
-            chosen.append(e)
-            chosen_set.add(e)
-            found = search(idx + 1)
-            if found is not None:
-                return found
-            chosen.pop()
-            chosen_set.discard(e)
-        return None
+        # dead end (the remainder does not split, or no candidate is
+        # left here): undo the choice one vertex up
+        idx -= 1
+        if idx >= 0:
+            chosen_set.discard(chosen.pop())
 
-    split = search(0)
     if split is None:
         raise NoValidSigma(
             f"no edge reservation for {deep_sorted} leaves an open-trail remainder"

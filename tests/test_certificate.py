@@ -86,3 +86,16 @@ def test_malformed_documents_raise():
     ):
         with pytest.raises(CertificateError):
             certificate_to_labeling(doc)
+
+
+@pytest.mark.parametrize(
+    ("edges", "labels", "witness"),
+    [([], [], (0, 1, 0)), ([[0, 1]], [1], (0, 1, 1)), ([[5, 10**8 - 1]], [1], (0, 1, 0))],
+)
+def test_huge_vertex_count_is_rejected_from_the_edges(edges, labels, witness):
+    # 10**8 vertices and at most two edge ends: two isolated vertices among
+    # the first few already collide, and no sum past them is computed
+    doc = {"n": 10**8, "edges": edges, "k": 0, "labels": labels}
+    verdict, _, _ = check_certificate(doc)
+    assert verdict.code == "vertex-sum-collision"
+    assert verdict.witness == witness

@@ -123,6 +123,14 @@ def test_odd_petersen_golden_sums():
     assert is_sdds(f)
 
 
+@pytest.mark.parametrize("leaves", [999, 5001])
+def test_odd_star_with_many_leaves(leaves):
+    # every leaf is a deep vertex of the one cross block, so a sigma search
+    # that recursed once per deep vertex would overflow the stack here
+    f = construct_odd_degree(star(leaves))
+    assert is_sdds(f)
+
+
 def test_odd_rejections():
     with pytest.raises(EvenDegreeVertex):
         construct_odd_degree(path(3))

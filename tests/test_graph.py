@@ -6,9 +6,12 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antimagic.errors import (
     DuplicateEdge,
+    EmptyGraph,
     EndpointOutOfRange,
     LevelOutOfRange,
     LoopEdge,
@@ -65,6 +68,12 @@ def test_adjacency_and_incident():
     assert [g.edges[i] for i in inc[3]] == [(1, 3)]
 
 
+def test_adjacency_is_built_once_per_graph():
+    g = build_graph(4, [(0, 1), (1, 2), (1, 3)])
+    assert g.adjacency() is g.adjacency()
+    assert g == build_graph(4, [(1, 3), (1, 2), (0, 1)])
+
+
 def test_degrees_and_max_degree():
     g = star(4)
     assert g.degrees() == [4, 1, 1, 1, 1]
@@ -111,6 +120,15 @@ def test_level_partition_shape():
 def test_level_partition_bad_root():
     with pytest.raises(RootOutOfRange):
         level_partition(path(3), root=5)
+
+
+def test_level_partition_of_empty_graph():
+    empty = build_graph(0, [])
+    with pytest.raises(EmptyGraph):
+        default_root(empty)
+    with pytest.raises(EmptyGraph):
+        level_partition(empty)
+    assert components(empty) == []
 
 
 def test_level_partition_matches_bfs_oracle():
@@ -175,3 +193,74 @@ def test_parse_edge_list_reports_line_numbers():
 def test_parse_tree_example():
     g = parse_edge_list("4 3\n0 1\n1 2\n2 3\n")
     assert g == path(4)
+
+
+# --- networkx cross-checks -------------------------------------------------
+
+
+def to_nx(g):
+    h = nx.Graph(list(g.edges))
+    h.add_nodes_from(range(g.n))
+    return h
+
+
+def assert_components_match_networkx(g):
+    h = to_nx(g)
+    expected = sorted(tuple(sorted(c)) for c in nx.connected_components(h))
+    comps = components(g)
+    assert [c.vertices for c in comps] == expected
+    for c in comps:
+        lifted = sorted(c.parent_edge(e) for e in c.graph.edges)
+        assert lifted == sorted(canonical_edge(*e) for e in h.edges(c.vertices))
+
+
+def assert_levels_match_networkx(g, root):
+    p = level_partition(g, root=root)
+    dist = nx.single_source_shortest_path_length(to_nx(g), root)
+    assert p.root == root
+    assert sorted(v for layer in p.levels for v in layer) == sorted(dist)
+    for i, layer in enumerate(p.levels):
+        assert list(layer) == sorted(layer)
+        assert all(dist[v] == i for v in layer)
+
+
+def small_tree_forest(rng, n):
+    """Trees of 1..6 vertices on shuffled ids, so components interleave."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges = []
+    start = 0
+    while start < n:
+        size = min(rng.randint(1, 6), n - start)
+        tree = random_tree(rng, size)
+        edges += [(ids[start + u], ids[start + v]) for u, v in tree.edges]
+        start += size
+    return build_graph(n, edges)
+
+
+def test_deep_path_matches_networkx():
+    g = path(20000)
+    assert_components_match_networkx(g)
+    for root in (0, 1, 9999, 19999):
+        assert_levels_match_networkx(g, root)
+    assert level_partition(g).d == 19998
+
+
+def test_forest_of_small_trees_matches_networkx():
+    rng = random.Random(20261018)
+    g = small_tree_forest(rng, 12000)
+    assert len(components(g)) > 3000
+    assert_components_match_networkx(g)
+    for root in rng.sample(range(g.n), 50):
+        assert_levels_match_networkx(g, root)
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 30), st.data())
+def test_random_graphs_match_networkx(n, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    g = build_graph(n, edges)
+    assert_components_match_networkx(g)
+    assert_levels_match_networkx(g, data.draw(st.integers(0, n - 1)))
+    assert_levels_match_networkx(g, default_root(g))

@@ -133,6 +133,9 @@ def test_partial_vertex_sum():
     assert partial_vertex_sum(g, labels, 1, (0, 1)) == 0
     with pytest.raises(ValueError):
         partial_vertex_sum(g, labels, 1, (0, 2))
+    for v in (4, -1):
+        with pytest.raises(ValueError):
+            partial_vertex_sum(g, labels, v, (0, v))
     del labels[(0, 3)]
     with pytest.raises(UnlabeledIncidentEdge):
         partial_vertex_sum(g, labels, 0, (0, 1))

@@ -120,3 +120,19 @@ def test_verify_accepts_only_the_exact_label_window(g, k):
     f = random_labeling(random.Random(7), g, k)
     v = verify_shifted(f, k + g.m)
     assert not v and v.code == "label-out-of-range"
+
+
+@given(st.integers(1, 14), st.integers(0, 6), st.integers(-6, 6), st.integers(0, 2**32 - 1))
+def test_sum_collision_witness_matches_a_scan_of_every_vertex(n, m, k, seed):
+    # few edges on many vertices: verify_shifted only scans a prefix
+    rng = random.Random(seed)
+    g = random_graph(rng, n, min(m, n * (n - 1) // 2))
+    f = random_labeling(rng, g, k)
+    expected = None
+    first_with: dict[int, int] = {}
+    for v, s in enumerate(vertex_sums(f)):
+        if s in first_with:
+            expected = (first_with[s], v, s)
+            break
+        first_with[s] = v
+    assert verify_shifted(f, k).witness == expected
