@@ -21,7 +21,13 @@ from .errors import (
     TooFewLeaves,
 )
 from .families import cp3, double_star, p5prime, path, star, two_p4, two_s3
-from .graph import Edge, Graph, canonical_edge, components, layer_subgraphs, level_partition
+from .graph import (
+    Edge,
+    Graph,
+    _component_vertices,
+    layer_subgraphs,
+    level_partition,
+)
 from .labeling import (
     EdgeLabeling,
     negate_labeling,
@@ -35,94 +41,90 @@ def construct_forest_sdds(g: Graph) -> EdgeLabeling:
     """Label a forest with 1..m so same-degree vertices get distinct sums.
 
     Works tree by tree in order of least vertex id, each tree taking the
-    next block of labels. Within a tree, levels are labeled bottom-up;
-    inside a level, vertices are ordered by the sum already sitting on
-    their edges to the level below, and their parent edges take ascending
-    labels in that order.
+    next block of labels. Within a tree, rooted at its lowest-id vertex of
+    maximum degree, levels are labeled bottom-up; inside a level, vertices
+    are ordered by the sum already sitting on their edges to the level
+    below, and their parent edges take ascending labels in that order.
     """
-    comps = components(g)
-    for comp in comps:
-        if comp.graph.n == 1:
-            raise IsolatedVertices(f"vertex {comp.vertices[0]} has no edges")
-        if comp.graph.n == 2:
-            raise HasK2Component(f"component {comp.vertices} is a single edge")
-        if comp.graph.m != comp.graph.n - 1:
-            raise NotForest(f"component {comp.vertices} contains a cycle")
-    mapping: dict[Edge, int] = {}
-    offset = 0
-    for comp in comps:
-        for e, lab in _tree_sdds(comp.graph, offset).items():
-            mapping[comp.parent_edge(e)] = lab
-        offset += comp.graph.m
-    return EdgeLabeling.from_dict(g, mapping, base=0)
+    deg = g.degrees()
+    _, trees = _component_vertices(g)
+    for verts in trees:
+        if len(verts) == 1:
+            raise IsolatedVertices(f"vertex {verts[0]} has no edges")
+        if len(verts) == 2:
+            raise HasK2Component(f"component {tuple(sorted(verts))} is a single edge")
+        if sum(deg[v] for v in verts) != 2 * (len(verts) - 1):
+            raise NotForest(f"component {tuple(sorted(verts))} contains a cycle")
+    adj = g.adjacency()
+    parent = [-1] * g.n
+    up = [0] * g.n  # label of the edge from a vertex to its parent
+    below = [0] * g.n  # sum of labels on the edges to a vertex's children
+    nxt = 1
+    for verts in trees:
+        levels = [[_root(verts, deg)]]
+        while True:
+            deeper = []
+            for v in levels[-1]:
+                for child in adj[v]:
+                    if child != parent[v]:
+                        parent[child] = v
+                        deeper.append(child)
+            if not deeper:
+                break
+            levels.append(deeper)
+        for level in reversed(levels[1:]):
+            for _, v in sorted((below[v], v) for v in level):
+                up[v] = nxt
+                below[parent[v]] += nxt
+                nxt += 1
+    return EdgeLabeling(
+        g, tuple(up[v] if parent[v] == u else up[u] for u, v in g.edges), base=0
+    )
 
 
-def _tree_sdds(t: Graph, offset: int) -> dict[Edge, int]:
-    p = level_partition(t)
-    level = p.level_of()
-    adj = t.adjacency()
-    labels: dict[Edge, int] = {}
-    nxt = offset + 1
-    for depth in range(p.d, 0, -1):
-        ranked = []
-        for v in p.levels[depth]:
-            below = sum(
-                labels[canonical_edge(v, w)] for w in adj[v] if level[w] > depth
-            )
-            ranked.append((below, v))
-        ranked.sort()
-        for _, v in ranked:
-            parent = next(w for w in adj[v] if level[w] == depth - 1)
-            labels[canonical_edge(v, parent)] = nxt
-            nxt += 1
-    return labels
+def _root(verts: list[int], deg: list[int]) -> int:
+    """Lowest-id vertex of maximum degree among `verts`."""
+    return min(verts, key=lambda v: (-deg[v], v))
 
 
 def construct_odd_degree(g: Graph) -> EdgeLabeling:
     """Same-degree-distinct-sum labeling for graphs whose degrees are all odd.
 
     Components are labeled in order of least vertex id with consecutive
-    label blocks. Within a component, levels from a breadth-first root are
-    handled deepest first; each level labels its internal edges, then the
-    trail edges of a cross-block decomposition, then the reserved edge of
-    each level vertex in ascending order of the sum already at that vertex.
+    label blocks. Within a component, levels from a breadth-first root
+    (its lowest-id vertex of maximum degree) are handled deepest first;
+    each level labels its internal edges, then the trail edges of a
+    cross-block decomposition, then the reserved edge of each level vertex
+    in ascending order of the sum already at that vertex.
     """
-    for v, d in enumerate(g.degrees()):
+    deg = g.degrees()
+    for v, d in enumerate(deg):
         if d % 2 == 0:
             raise EvenDegreeVertex(f"vertex {v} has even degree {d}")
-    comps = components(g)
-    for comp in comps:
-        if comp.graph.n == 2:
-            raise HasK2Component(f"component {comp.vertices} is a single edge")
-    mapping: dict[Edge, int] = {}
-    offset = 0
-    for comp in comps:
-        for e, lab in _odd_connected(comp.graph, offset).items():
-            mapping[comp.parent_edge(e)] = lab
-        offset += comp.graph.m
-    return EdgeLabeling.from_dict(g, mapping, base=0)
-
-
-def _odd_connected(h: Graph, offset: int) -> dict[Edge, int]:
-    p = level_partition(h)
+    _, comps = _component_vertices(g)
+    for verts in comps:
+        if len(verts) == 2:
+            raise HasK2Component(f"component {tuple(sorted(verts))} is a single edge")
     labels: dict[Edge, int] = {}
-    nxt = offset + 1
-    for depth in range(p.d, 0, -1):
-        intra, cross = layer_subgraphs(h, p, depth)
-        for e in intra.edges:
-            labels[e] = nxt
-            nxt += 1
-        dec = find_sigma_and_trails(cross, p.levels[depth])
-        block = sum(t.edge_count for t in dec.trails)
-        labels.update(label_trails(dec, range(nxt, nxt + block)))
-        nxt += block
-        ranked = sorted(
-            (partial_vertex_sum(h, labels, v, e), v, e) for v, e in dec.sigma
-        )
-        for _, _, e in ranked:
-            labels[e] = nxt
-            nxt += 1
-    return labels
+    nxt = 1
+    for verts in comps:
+        p = level_partition(g, _root(verts, deg))
+        for depth in range(p.d, 0, -1):
+            intra, cross = layer_subgraphs(g, p, depth)
+            for e in intra.edges:
+                labels[e] = nxt
+                nxt += 1
+            dec = find_sigma_and_trails(cross, p.levels[depth])
+            block = sum(t.edge_count for t in dec.trails)
+            labels.update(label_trails(dec, range(nxt, nxt + block)))
+            nxt += block
+            ranked = sorted(
+                (partial_vertex_sum(g, labels, v, e), v, e) for v, e in dec.sigma
+            )
+            for _, _, e in ranked:
+                labels[e] = nxt
+                nxt += 1
+    return EdgeLabeling(g, tuple(labels[e] for e in g.edges), base=0)
 
 
 def _strong_path_labels(n: int) -> list[int]:

@@ -65,14 +65,20 @@ class Graph:
         return inc
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        """Vertex degrees, read off the cached adjacency rows.
+
+        Built on the first call and cached on the graph: every later call
+        returns the same list, so callers must not mutate it.
+        """
+        return self._degrees
+
+    @cached_property
+    def _degrees(self) -> list[int]:
+        return [len(row) for row in self._adjacency]
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        # a non-vertex touches no edge
+        return self._degrees[v] if 0 <= v < self.n else 0
 
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
@@ -123,8 +129,12 @@ class Component:
         return canonical_edge(self.vertices[e[0]], self.vertices[e[1]])
 
 
-def components(g: Graph) -> list[Component]:
-    """Connected components, ordered by their smallest original vertex id."""
+def _component_vertices(g: Graph) -> tuple[list[int], list[list[int]]]:
+    """Component id per vertex, and each component's vertices in BFS order.
+
+    Components are numbered by their smallest vertex id; one pass over the
+    adjacency rows finds them all.
+    """
     adj = g.adjacency()
     comp_of = [-1] * g.n
     groups: list[list[int]] = []
@@ -140,6 +150,12 @@ def components(g: Graph) -> list[Component]:
                     comp_of[nb] = cid
                     verts.append(nb)
         groups.append(verts)
+    return comp_of, groups
+
+
+def components(g: Graph) -> list[Component]:
+    """Connected components, ordered by their smallest original vertex id."""
+    comp_of, groups = _component_vertices(g)
     comp_edges: list[list[Edge]] = [[] for _ in groups]
     for e in g.edges:
         comp_edges[comp_of[e[0]]].append(e)

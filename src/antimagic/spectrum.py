@@ -21,7 +21,7 @@ from .errors import (
     NotForest,
     NoValidSigma,
 )
-from .graph import Graph, components
+from .graph import Graph
 from .labeling import (
     EdgeLabeling,
     negate_labeling,
@@ -210,10 +210,10 @@ def finite_window(g: Graph, budget: int = DEFAULT_BUDGET) -> WindowResult:
     [-(h+m+1), h] open where h is the shift threshold. Raises NoSddsFound
     when no such certificate exists at all.
     """
-    comps = components(g)
-    if any(c.graph.n == 2 for c in comps):
+    deg = g.degrees()
+    if any(deg[u] == 1 and deg[v] == 1 for u, v in g.edges):
         raise NoSddsFound("a single-edge component forces two equal sums")
-    if sum(1 for c in comps if c.graph.n == 1) >= 2:
+    if deg.count(0) >= 2:
         raise NoSddsFound("two isolated vertices share the sum 0")
     if g.m == 0:
         raise NoSddsFound("no edges to label")
@@ -226,7 +226,7 @@ def finite_window(g: Graph, budget: int = DEFAULT_BUDGET) -> WindowResult:
         cert = construct_forest_sdds(g)
     except (NotForest, HasK2Component, IsolatedVertices):
         pass
-    if cert is None and all(d % 2 == 1 for d in g.degrees()):
+    if cert is None and all(d % 2 == 1 for d in deg):
         try:
             cert = construct_odd_degree(g)
         except NoValidSigma:

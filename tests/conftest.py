@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 from itertools import combinations
+
+import pytest
 
 from antimagic.graph import Graph, build_graph
 from antimagic.labeling import EdgeLabeling
@@ -28,3 +31,16 @@ def random_labeling(rng: random.Random, g: Graph, k: int) -> EdgeLabeling:
     labels = list(range(k + 1, k + g.m + 1))
     rng.shuffle(labels)
     return EdgeLabeling(g, tuple(labels), base=k)
+
+
+@pytest.fixture
+def forbid_components(monkeypatch):
+    """Make every binding of graph.components fail when called."""
+
+    def boom(g):
+        raise AssertionError("components() called")
+
+    # import_module, because the package re-exports a function named spectrum
+    monkeypatch.setattr(importlib.import_module("antimagic.graph"), "components", boom)
+    for name in ("antimagic.spectrum", "antimagic.constructors"):
+        monkeypatch.setattr(importlib.import_module(name), "components", boom, raising=False)

@@ -40,6 +40,14 @@ def test_construct_infeasible_exits_two(capsys):
     assert doc == {"feasible": False, "k": -3, "m": 4, "n": 5}
 
 
+def test_construct_infeasible_huge_header_skips_components(tmp_path, capsys, forbid_components):
+    graph = tmp_path / "g.txt"
+    graph.write_text("200000 3\n0 1\n2 3\n3 4\n")
+    code, out, _ = run_cli(capsys, "construct", "--graph", str(graph), "--k", "0")
+    assert code == 2
+    assert json.loads(out) == {"feasible": False, "k": 0, "m": 3, "n": 200000}
+
+
 def test_construct_family_parameters(capsys):
     code, out, _ = run_cli(
         capsys, "construct", "--family", "double_star", "--a", "3", "--b", "2",

@@ -78,6 +78,8 @@ def test_degrees_and_max_degree():
     g = star(4)
     assert g.degrees() == [4, 1, 1, 1, 1]
     assert g.degree(0) == 4
+    assert g.degree(5) == g.degree(-1) == 0
+    assert g.degrees() is g.degrees()
     assert g.max_degree() == 4
     assert sum(g.degrees()) == 2 * g.m
 

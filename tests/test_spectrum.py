@@ -125,6 +125,19 @@ def test_window_rejects_hopeless_graphs():
         finite_window(build_graph(3, []))
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # a single edge and 199,997 isolated vertices: the single edge is named
+        ([(0, 1), (2, 3), (3, 4)], "a single-edge component forces two equal sums"),
+        ([(0, 1), (1, 2)], "two isolated vertices share the sum 0"),
+    ],
+)
+def test_window_rejects_huge_vertex_count_from_degrees(forbid_components, edges, message):
+    with pytest.raises(NoSddsFound, match=f"^{message}$"):
+        finite_window(build_graph(200_000, edges))
+
+
 # --- spectrum ------------------------------------------------------------------
 
 
