@@ -9,9 +9,11 @@ that disagree make the certificate invalid.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import AntimagicError, CertificateError
-from .graph import build_graph, canonical_edge
-from .labeling import EdgeLabeling, Verdict, verify_shifted, vertex_sums
+from .graph import Graph, _canonical_edges
+from .labeling import EdgeLabeling, Verdict, _shifted_verdict, vertex_sums
 
 
 def labeling_to_certificate(f: EdgeLabeling, k: int | None = None) -> dict:
@@ -20,18 +22,38 @@ def labeling_to_certificate(f: EdgeLabeling, k: int | None = None) -> dict:
         k = f.base
     if k is None:
         raise CertificateError("labeling has no recorded shift; pass k explicitly")
+    sums = list(vertex_sums(f))
     return {
         "n": f.graph.n,
-        "edges": [list(e) for e in f.graph.edges],
+        "edges": list(map(list, f.graph.edges)),
         "k": k,
         "labels": list(f.labels),
-        "vertex_sums": list(vertex_sums(f)),
-        "valid": bool(verify_shifted(f, k)),
+        "vertex_sums": sums,
+        "valid": bool(_shifted_verdict(f, k, sums)),
     }
 
 
 def _plain_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _plain_ints(values: list) -> bool:
+    """True when every value is an int and none is a bool.
+
+    Exact ints are settled in bulk; anything else (a bool, an int subclass
+    such as an IntEnum member, a float) goes through _plain_int one by one.
+    """
+    return set(map(type, values)) <= {int} or all(map(_plain_int, values))
+
+
+def _int_pairs(edges: list) -> bool:
+    """True when every edge is a list of two plain ints."""
+    if set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}:
+        return _plain_ints(list(chain.from_iterable(edges)))
+    return all(
+        isinstance(e, list) and len(e) == 2 and all(_plain_int(x) for x in e)
+        for e in edges
+    )
 
 
 def _expect_int(doc: dict, key: str) -> int:
@@ -54,24 +76,20 @@ def certificate_to_labeling(doc: object) -> tuple[EdgeLabeling, int]:
     k = _expect_int(doc, "k")
     edges = doc.get("edges")
     labels = doc.get("labels")
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(_plain_int(x) for x in e)
-        for e in edges
-    ):
+    if not isinstance(edges, list) or not _int_pairs(edges):
         raise CertificateError("field 'edges' must be a list of [u, v] pairs")
-    if not isinstance(labels, list) or not all(_plain_int(x) for x in labels):
+    if not isinstance(labels, list) or not _plain_ints(labels):
         raise CertificateError("field 'labels' must be a list of integers")
     if len(labels) != len(edges):
         raise CertificateError(f"{len(labels)} labels for {len(edges)} edges")
     try:
-        g = build_graph(n, [tuple(e) for e in edges])
-        mapping = {canonical_edge(u, v): lab for (u, v), lab in zip(edges, labels)}
-        f = EdgeLabeling.from_dict(g, mapping, base=k)
-    except CertificateError:
-        raise
+        canon = _canonical_edges(n, edges)
     except AntimagicError as exc:
         raise CertificateError(f"bad graph in certificate: {exc}") from exc
-    return f, k
+    # one sort puts the edges in canonical order, and their labels with them
+    order = sorted(range(len(canon)), key=canon.__getitem__)
+    g = Graph(n, tuple(map(canon.__getitem__, order)))
+    return EdgeLabeling(g, tuple(map(labels.__getitem__, order)), base=k), k
 
 
 def check_certificate(doc: object) -> tuple[Verdict, EdgeLabeling, int]:
@@ -80,16 +98,29 @@ def check_certificate(doc: object) -> tuple[Verdict, EdgeLabeling, int]:
     The verdict covers both the labeling itself and the consistency of
     the stored derived fields (when present).
     """
+    return _check_certificate(doc)[:3]
+
+
+def _check_certificate(
+    doc: object,
+) -> tuple[Verdict, EdgeLabeling, int, list[int] | None]:
+    """check_certificate's result, plus every vertex sum when n <= 2m+1.
+
+    One pass computes the sums, for the verdict and for the stored sums
+    alike. Past n = 2m+1 two vertices are isolated and the certificate is
+    invalid whatever its labels: the sums are None, and the verdict sums
+    only the vertices it needs.
+    """
     f, k = certificate_to_labeling(doc)
-    verdict = verify_shifted(f, k)
+    sums = list(vertex_sums(f)) if f.graph.n <= 2 * f.graph.m + 1 else None
+    verdict = _shifted_verdict(f, k, sums)
     assert isinstance(doc, dict)  # certificate_to_labeling guarantees it
     stored_sums = doc.get("vertex_sums")
     if stored_sums is not None:
-        if not isinstance(stored_sums, list) or not all(
-            _plain_int(x) for x in stored_sums
-        ):
+        if not isinstance(stored_sums, list) or not _plain_ints(stored_sums):
             raise CertificateError("field 'vertex_sums' must be a list of integers")
-        if verdict and list(vertex_sums(f)) != stored_sums:
+        # an accepted verdict implies n <= 2m+1, so the sums are at hand
+        if verdict and sums != stored_sums:
             verdict = Verdict.reject(
                 "vertex-sums-mismatch",
                 tuple(stored_sums),
@@ -105,4 +136,4 @@ def check_certificate(doc: object) -> tuple[Verdict, EdgeLabeling, int]:
                 (),
                 "certificate marked invalid but the labels check out",
             )
-    return verdict, f, k
+    return verdict, f, k, sums

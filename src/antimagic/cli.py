@@ -17,7 +17,7 @@ import re
 import sys
 
 from . import families
-from .certificate import check_certificate, labeling_to_certificate
+from .certificate import _check_certificate, labeling_to_certificate
 from .constructors import (
     construct_cp3,
     construct_double_star,
@@ -35,7 +35,7 @@ from .errors import (
     NoSddsFound,
 )
 from .graph import Graph, parse_edge_list
-from .labeling import EdgeLabeling, negate_labeling, shift_labeling, vertex_sums
+from .labeling import EdgeLabeling, negate_labeling, shift_labeling
 from .spectrum import (
     DEFAULT_BUDGET,
     AllShifts,
@@ -170,6 +170,12 @@ def _construct_any(
     try:
         win = finite_window(g, budget)
     except NoSddsFound:
+        # With an edge, this is a proof that no labeling of 1..m has
+        # distinct sums even within a degree class (a single-edge
+        # component, two isolated vertices, or an exhausted search). A
+        # k-shifted labeling minus k would be one, so no shift is feasible.
+        if g.m:
+            return None
         return decide(g, k, budget)
     if k > win.hi:
         return shift_labeling(win.certificate, k)
@@ -203,13 +209,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         doc = json.loads(_read_text(args.certificate))
     except json.JSONDecodeError as exc:
         raise CertificateError(f"certificate is not valid JSON: {exc}") from exc
-    verdict, f, k = check_certificate(doc)
+    # the sums are None past n = 2m+1, where two vertices are isolated
+    verdict, f, k, sums = _check_certificate(doc)
     out = {
         "valid": bool(verdict),
         "k": k,
         "n": f.graph.n,
         "m": f.graph.m,
-        "vertex_sums": list(vertex_sums(f)),
+        "vertex_sums": sums,
         "code": verdict.code,
         "witness": list(verdict.witness) if verdict.witness is not None else None,
         "detail": verdict.detail,

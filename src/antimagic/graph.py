@@ -96,9 +96,34 @@ def build_graph(n: int, edges) -> Graph:
     Rejects loops, repeated vertex pairs (in either order), and endpoints
     outside [0, n).
     """
+    canon = _canonical_edges(n, edges)
+    canon.sort()
+    return Graph(n, tuple(canon))
+
+
+def _canonical_edges(n: int, edges) -> list[Edge]:
+    """The canonical form of each edge, in input order, validated as
+    build_graph documents.
+
+    A list or tuple of edges is checked in bulk first; only when that
+    check fails (or for any other iterable) does the edge-by-edge loop
+    run, so the first faulty edge in input order raises as it always has.
+    """
     if n < 0:
         raise EndpointOutOfRange(f"vertex count {n} is negative")
-    canon: list[Edge] = []
+    if isinstance(edges, (list, tuple)):
+        try:
+            # a loop or an endpoint out of range canonicalizes to None
+            canon = [
+                (u, v) if 0 <= u < v < n else (v, u) if 0 <= v < u < n else None
+                for u, v in edges
+            ]
+            distinct = set(canon)
+            if len(distinct) == len(canon) and None not in distinct:
+                return canon
+        except (TypeError, ValueError):  # the loop names the faulty edge
+            pass
+    canon = []
     seen: set[Edge] = set()
     for u, v in edges:
         if u == v:
@@ -110,8 +135,7 @@ def build_graph(n: int, edges) -> Graph:
             raise DuplicateEdge(f"edge {e} appears more than once")
         seen.add(e)
         canon.append(e)
-    canon.sort()
-    return Graph(n, tuple(canon))
+    return canon
 
 
 @dataclass(frozen=True)

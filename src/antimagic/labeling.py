@@ -90,6 +90,11 @@ def vertex_sums(f: EdgeLabeling) -> tuple[int, ...]:
 def _leading_sums(f: EdgeLabeling, count: int) -> list[int]:
     """Vertex sums of vertices 0..count-1 only."""
     sums = [0] * count
+    if count == f.graph.n:  # every endpoint is in range: no test per edge
+        for (u, v), lab in zip(f.graph.edges, f.labels):
+            sums[u] += lab
+            sums[v] += lab
+        return sums
     for (u, v), lab in zip(f.graph.edges, f.labels):
         if u < count:
             sums[u] += lab
@@ -105,39 +110,51 @@ def verify_shifted(f: EdgeLabeling, k: int) -> Verdict:
     are pairwise distinct. Label-set violations are reported before sum
     collisions, each with the first witness in canonical edge order.
     """
+    return _shifted_verdict(f, k)
+
+
+def _shifted_verdict(f: EdgeLabeling, k: int, sums: list[int] | None = None) -> Verdict:
+    """verify_shifted's verdict, reusing every vertex's sum when given.
+
+    Without `sums`, only vertices 0..min(n, 2m+2)-1 are summed: at most 2m
+    vertices touch an edge, so two of vertices 0..2m+1 are isolated and
+    share the sum 0, the first collision lies in that prefix, and a huge
+    n costs nothing. The scan of all n sums finds that same collision.
+    Set comparisons accept; the scans run only to name the first violation.
+    """
     g = f.graph
-    seen: dict[int, int] = {}
-    for i, lab in enumerate(f.labels):
-        if lab in seen:
-            first = g.edges[seen[lab]]
-            return Verdict.reject(
-                "duplicate-label",
-                (first, g.edges[i], lab),
-                f"label {lab} used on both {first} and {g.edges[i]}",
-            )
-        seen[lab] = i
     lo, hi = k + 1, k + g.m
-    for i, lab in enumerate(f.labels):
-        if not (lo <= lab <= hi):
-            return Verdict.reject(
-                "label-out-of-range",
-                (g.edges[i], lab),
-                f"label {lab} on {g.edges[i]} outside [{lo}, {hi}]",
-            )
-    # At most 2m vertices touch an edge, so two of vertices 0..2m+1 are
-    # isolated and share the sum 0: the first collision lies in that prefix,
-    # and a huge n costs nothing.
-    sums = _leading_sums(f, min(g.n, 2 * g.m + 2))
-    first_with: dict[int, int] = {}
-    for v, s in enumerate(sums):
-        if s in first_with:
-            u = first_with[s]
-            return Verdict.reject(
-                "vertex-sum-collision",
-                (u, v, s),
-                f"vertices {u} and {v} both sum to {s}",
-            )
-        first_with[s] = v
+    if len(f.labels) != g.m or set(f.labels) != set(range(lo, hi + 1)):
+        seen: dict[int, int] = {}
+        for i, lab in enumerate(f.labels):
+            if lab in seen:
+                first = g.edges[seen[lab]]
+                return Verdict.reject(
+                    "duplicate-label",
+                    (first, g.edges[i], lab),
+                    f"label {lab} used on both {first} and {g.edges[i]}",
+                )
+            seen[lab] = i
+        for i, lab in enumerate(f.labels):
+            if not (lo <= lab <= hi):
+                return Verdict.reject(
+                    "label-out-of-range",
+                    (g.edges[i], lab),
+                    f"label {lab} on {g.edges[i]} outside [{lo}, {hi}]",
+                )
+    if sums is None:
+        sums = _leading_sums(f, min(g.n, 2 * g.m + 2))
+    if len(set(sums)) < len(sums):
+        first_with: dict[int, int] = {}
+        for v, s in enumerate(sums):
+            if s in first_with:
+                u = first_with[s]
+                return Verdict.reject(
+                    "vertex-sum-collision",
+                    (u, v, s),
+                    f"vertices {u} and {v} both sum to {s}",
+                )
+            first_with[s] = v
     return Verdict.accept()
 
 
@@ -153,17 +170,18 @@ def is_sdds(f: EdgeLabeling) -> Verdict:
     _require_one_to_m(f)
     sums = vertex_sums(f)
     deg = f.graph.degrees()
-    first_with: dict[tuple[int, int], int] = {}
-    for v, s in enumerate(sums):
-        key = (deg[v], s)
-        if key in first_with:
-            u = first_with[key]
-            return Verdict.reject(
-                "same-degree-sum-collision",
-                (u, v, s),
-                f"degree-{deg[v]} vertices {u} and {v} both sum to {s}",
-            )
-        first_with[key] = v
+    if len(set(zip(deg, sums))) < len(sums):
+        first_with: dict[tuple[int, int], int] = {}
+        for v, s in enumerate(sums):
+            key = (deg[v], s)
+            if key in first_with:
+                u = first_with[key]
+                return Verdict.reject(
+                    "same-degree-sum-collision",
+                    (u, v, s),
+                    f"degree-{deg[v]} vertices {u} and {v} both sum to {s}",
+                )
+            first_with[key] = v
     return Verdict.accept()
 
 

@@ -44,3 +44,27 @@ def forbid_components(monkeypatch):
     monkeypatch.setattr(importlib.import_module("antimagic.graph"), "components", boom)
     for name in ("antimagic.spectrum", "antimagic.constructors"):
         monkeypatch.setattr(importlib.import_module(name), "components", boom, raising=False)
+
+
+@pytest.fixture
+def forbid_sums_past_prefix(monkeypatch):
+    """Fail any vertex-sum pass that reaches past vertex 2m+1.
+
+    Every binding of labeling.vertex_sums (which sums all n vertices)
+    fails, and the prefix helper fails when asked for more than the 2m+2
+    vertices 0..2m+1.
+    """
+    labeling = importlib.import_module("antimagic.labeling")
+    prefix = labeling._leading_sums
+
+    def bounded(f, count):
+        if count > 2 * f.graph.m + 2:
+            raise AssertionError(f"sums of {count} vertices for {f.graph.m} edges")
+        return prefix(f, count)
+
+    def boom(f):
+        raise AssertionError("vertex_sums() called")
+
+    monkeypatch.setattr(labeling, "_leading_sums", bounded)
+    for name in ("antimagic.labeling", "antimagic.certificate", "antimagic.cli"):
+        monkeypatch.setattr(importlib.import_module(name), "vertex_sums", boom, raising=False)

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from antimagic.cli import main
+from antimagic.spectrum import decide
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +49,34 @@ def test_construct_infeasible_huge_header_skips_components(tmp_path, capsys, for
     assert json.loads(out) == {"feasible": False, "k": 0, "m": 3, "n": 200000}
 
 
+def test_construct_with_a_single_edge_component_is_infeasible_past_the_budget(
+    tmp_path, capsys, monkeypatch
+):
+    # 14 edges exceed the search budget of 10, but the component 0-1 alone
+    # rules out every shift, so the answer comes without a search
+    def no_search(*args):
+        raise AssertionError("decide() called")
+
+    monkeypatch.setattr("antimagic.cli.decide", no_search)
+    lines = ["30 14", "0 1"] + [f"{v} {v + 1}" for v in range(2, 15)]
+    graph = tmp_path / "g.txt"
+    graph.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "construct", "--graph", str(graph), "--k", "5")
+    assert code == 2
+    assert json.loads(out) == {"feasible": False, "k": 5, "m": 14, "n": 30}
+    assert "infeasible" in err
+
+
+@pytest.mark.parametrize(("header", "code"), [("1 0", 0), ("2 0", 2)])
+def test_construct_on_an_edgeless_graph_still_searches(tmp_path, capsys, monkeypatch, header, code):
+    calls = []
+    monkeypatch.setattr("antimagic.cli.decide", lambda *a: calls.append(a) or decide(*a))
+    graph = tmp_path / "g.txt"
+    graph.write_text(header + "\n")
+    assert run_cli(capsys, "construct", "--graph", str(graph), "--k", "0")[0] == code
+    assert len(calls) == 1
+
+
 def test_construct_family_parameters(capsys):
     code, out, _ = run_cli(
         capsys, "construct", "--family", "double_star", "--a", "3", "--b", "2",
@@ -75,6 +104,42 @@ def test_verify_tampered_certificate_exits_two(tmp_path, capsys):
     report = json.loads(out)
     assert report["valid"] is False
     assert report["code"] == "vertex-sums-mismatch"
+
+
+def test_verify_prints_the_sums_the_check_computed(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "construct", "--family", "p8", "--k", "-3")
+    cert = tmp_path / "cert.json"
+    cert.write_text(out)
+    code, report, _ = run_cli(capsys, "verify", str(cert))
+    assert code == 0
+    assert json.loads(report)["vertex_sums"] == [-1, -3, -2, 1, 4, 7, 6, 2]
+    doc = json.loads(out)
+    doc["labels"][0] = doc["labels"][1]  # rejected before any sum is needed
+    cert.write_text(json.dumps(doc))
+    code, report, _ = run_cli(capsys, "verify", str(cert))
+    assert code == 2
+    assert json.loads(report)["vertex_sums"] == [-2, -4, -2, 1, 4, 7, 6, 2]
+
+
+def test_verify_huge_edgeless_certificate_prints_no_sums(tmp_path, capsys, forbid_sums_past_prefix):
+    cert = tmp_path / "huge.json"
+    cert.write_text(json.dumps({"n": 3_000_000, "edges": [], "k": 0, "labels": []}))
+    code, out, _ = run_cli(capsys, "verify", str(cert))
+    assert code == 2
+    assert len(out.encode()) < 1024
+    report = json.loads(out)
+    assert report["code"] == "vertex-sum-collision"
+    assert report["witness"] == [0, 1, 0]
+    assert report["vertex_sums"] is None
+
+
+@pytest.mark.parametrize(("n", "sums"), [(3, [1, 1, 0]), (4, None)])
+def test_verify_prints_sums_up_to_n_of_2m_plus_1(tmp_path, capsys, n, sums):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"n": n, "edges": [[0, 1]], "k": 0, "labels": [1]}))
+    code, out, _ = run_cli(capsys, "verify", str(cert))
+    assert code == 2
+    assert json.loads(out)["vertex_sums"] == sums
 
 
 def test_verify_garbage_json_exits_one(tmp_path, capsys):

@@ -20,6 +20,7 @@ from antimagic.errors import (
 )
 from antimagic.families import complete_bipartite, cube, path, star
 from antimagic.graph import (
+    Graph,
     build_graph,
     canonical_edge,
     components,
@@ -266,3 +267,75 @@ def test_random_graphs_match_networkx(n, data):
     assert_components_match_networkx(g)
     assert_levels_match_networkx(g, data.draw(st.integers(0, n - 1)))
     assert_levels_match_networkx(g, default_root(g))
+
+
+# --- the bulk build_graph against the edge-by-edge loop it replaced ---------
+
+
+def seed_build_graph(n: int, edges) -> Graph:
+    """build_graph as it was before its bulk fast path (verbatim)."""
+    if n < 0:
+        raise EndpointOutOfRange(f"vertex count {n} is negative")
+    canon: list = []
+    seen: set = set()
+    for u, v in edges:
+        if u == v:
+            raise LoopEdge(f"edge ({u}, {v}) is a loop")
+        if not (0 <= u < n and 0 <= v < n):
+            raise EndpointOutOfRange(f"edge ({u}, {v}) leaves vertex range [0, {n})")
+        e = canonical_edge(u, v)
+        if e in seen:
+            raise DuplicateEdge(f"edge {e} appears more than once")
+        seen.add(e)
+        canon.append(e)
+    canon.sort()
+    return Graph(n, tuple(canon))
+
+
+def outcome(fn, *args):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@st.composite
+def faulty_edge_lists(draw):
+    """Edge lists with loops, repeats in either orientation, endpoints out
+    of range, and now and then a bool, a float, None or a 3-element edge."""
+    n = draw(st.integers(-1, 9))
+    vertex = st.integers(-2, max(n, 0) + 2)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=14))
+    for _ in range(draw(st.integers(0, 3))):
+        if not edges:
+            break
+        i = draw(st.integers(0, len(edges) - 1))
+        u, v = edges[i][:2]
+        kind = draw(st.sampled_from(["repeat", "reverse", "loop", "odd", "short"]))
+        if kind == "repeat":
+            edges.insert(draw(st.integers(0, len(edges))), (u, v))
+        elif kind == "reverse":
+            edges.insert(draw(st.integers(0, len(edges))), (v, u))
+        elif kind == "loop":
+            edges[i] = (u, u)
+        elif kind == "odd":
+            edges[i] = (draw(st.sampled_from([True, False, 1.0, 0.5, None])), v)
+        else:
+            edges[i] = (u, v, u)
+    shape = draw(st.sampled_from([list, tuple, "lists", "generator"]))
+    if shape == "lists":
+        return n, [list(e) for e in edges]
+    if shape == "generator":
+        return n, (e for e in edges)
+    return n, shape(edges)
+
+
+@settings(max_examples=400)
+@given(faulty_edge_lists())
+def test_build_graph_matches_the_edge_by_edge_loop(case):
+    n, edges = case
+    if not isinstance(edges, (list, tuple)):
+        edges = list(edges)
+        assert outcome(build_graph, n, iter(edges)) == outcome(seed_build_graph, n, edges)
+    assert outcome(build_graph, n, edges) == outcome(seed_build_graph, n, edges)
