@@ -159,9 +159,21 @@ def _shifted_verdict(f: EdgeLabeling, k: int, sums: list[int] | None = None) -> 
 
 
 def _require_one_to_m(f: EdgeLabeling) -> None:
-    if sorted(f.labels) != list(range(1, f.graph.m + 1)):
+    """Raise LabelsNotOneToM unless the labels are a permutation of 1..m.
+
+    m labels that cover 1..m are a permutation of it, so one set accepts;
+    the sort runs only to name the labels in the message, or when they
+    are unhashable.
+    """
+    m = f.graph.m
+    try:
+        if len(f.labels) == m and set(f.labels).issuperset(range(1, m + 1)):
+            return
+    except TypeError:
+        pass
+    if sorted(f.labels) != list(range(1, m + 1)):
         raise LabelsNotOneToM(
-            f"labels must be a permutation of 1..{f.graph.m}, got {sorted(f.labels)}"
+            f"labels must be a permutation of 1..{m}, got {sorted(f.labels)}"
         )
 
 

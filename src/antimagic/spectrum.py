@@ -9,6 +9,8 @@ and lemma-backed certificates outside it.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .constructors import construct_forest_sdds, construct_odd_degree
@@ -32,128 +34,153 @@ from .labeling import (
 DEFAULT_BUDGET = 10
 
 
-def _static_order(g: Graph) -> tuple[list[int], list[list[int]]]:
+def _plan(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:
     """Edge visit order that pins down vertex sums as early as possible.
 
     Greedily picks the edge completing the most vertices next (ties go to
-    canonical order). Also returns, per step, the vertices whose sums
-    become final at that step.
+    the lowest edge index). Each step is (u, v, edge index, the vertices
+    whose sums become final at that step).
     """
-    unlab = list(g.degrees())
-    remaining = set(range(g.m))
-    order: list[int] = []
-    finalize: list[list[int]] = []
-    while remaining:
-        best = -1
-        best_score = -1
-        for ei in sorted(remaining):
-            u, v = g.edges[ei]
-            score = (unlab[u] == 1) + (unlab[v] == 1)
-            if score > best_score:
-                best, best_score = ei, score
-        order.append(best)
-        remaining.discard(best)
-        done = []
-        for w in g.edges[best]:
-            unlab[w] -= 1
-            if unlab[w] == 0:
-                done.append(w)
-        finalize.append(done)
-    return order, finalize
-
-
-class _DistinctRule:
-    """All finalized sums must be pairwise distinct."""
-
-    def __init__(self) -> None:
-        self.seen: set[int] = set()
-
-    def admit(self, w: int, s: int, d: int) -> bool:
-        if s in self.seen:
-            return False
-        self.seen.add(s)
-        return True
-
-    def retract(self, w: int, s: int, d: int) -> None:
-        self.seen.discard(s)
-
-
-class _SddsRule:
-    """Finalized sums must be distinct within each degree class."""
-
-    def __init__(self) -> None:
-        self.seen: dict[int, set[int]] = {}
-
-    def admit(self, w: int, s: int, d: int) -> bool:
-        bucket = self.seen.setdefault(d, set())
-        if s in bucket:
-            return False
-        bucket.add(s)
-        return True
-
-    def retract(self, w: int, s: int, d: int) -> None:
-        self.seen[d].discard(s)
-
-
-class _StrongRule:
-    """Distinct sums that respect the degree order strictly."""
-
-    def __init__(self) -> None:
-        self.done: list[tuple[int, int]] = []
-
-    def admit(self, w: int, s: int, d: int) -> bool:
-        for dx, sx in self.done:
-            if s == sx:
-                return False
-            if (d < dx and s > sx) or (d > dx and s < sx):
-                return False
-        self.done.append((d, s))
-        return True
-
-    def retract(self, w: int, s: int, d: int) -> None:
-        self.done.pop()
-
-
-def _assign(g: Graph, pool: list[int], rule) -> tuple[int, ...] | None:
-    """Backtracking injection of pool labels onto edges under a sum rule."""
-    order, finalize = _static_order(g)
     edges = g.edges
-    deg = g.degrees()
-    sums = [0] * g.n
-    out = [0] * g.m
-    used = [False] * len(pool)
+    unlab = list(g.degrees())
+    placed = [False] * g.m
+    plan = []
+    for _ in range(g.m):
+        best = best_score = -1
+        for ei in range(g.m):
+            if not placed[ei]:
+                u, v = edges[ei]
+                score = (unlab[u] == 1) + (unlab[v] == 1)
+                if score > best_score:
+                    best, best_score = ei, score
+        placed[best] = True
+        u, v = edges[best]
+        unlab[u] -= 1
+        unlab[v] -= 1
+        plan.append((u, v, best, tuple(w for w in (u, v) if unlab[w] == 0)))
+    return plan
 
-    for v in range(g.n):
-        if deg[v] == 0 and not rule.admit(v, 0, 0):
+
+def _assign(g: Graph, pool: list[int], rule: str) -> tuple[int, ...] | None:
+    """Backtracking injection of pool labels onto edges under a sum rule.
+
+    `rule` is "distinct" (all vertex sums pairwise distinct), "sdds"
+    (distinct within each degree class) or "strong" (distinct, and ordered
+    strictly by degree). `pool` holds m ascending labels. Labels are tried
+    in pool order on the edges in `_plan` order. A vertex's sum is checked
+    when its last edge is labeled, against the final sums in its set: one
+    set shared by all vertices, or under "sdds" one set per degree. Under
+    "strong" a label must also keep the sum between those of the final
+    vertices of lower and of higher degree. The loop is written out once
+    per number of vertices a step finalizes (0, 1 or 2).
+    """
+    plan = _plan(g)
+    deg = g.degrees()
+    m = g.m
+    if rule == "sdds":
+        by_degree = {d: set() for d in deg}
+        seen = [by_degree[d] for d in deg]
+    else:
+        seen = [set()] * g.n
+    final = [v for v, d in enumerate(deg) if d == 0]
+    for v in final:
+        if 0 in seen[v]:
             return None
+        seen[v].add(0)
+    strong = rule == "strong"
+    if strong:
+        # per step: each vertex it finalizes, with the final vertices of
+        # lower and of higher degree, whose sums its own must lie between
+        bounds = []
+        for _, _, _, done in plan:
+            bounds.append(
+                [
+                    (
+                        w,
+                        [x for x in final if deg[x] < deg[w]],
+                        [x for x in final if deg[x] > deg[w]],
+                    )
+                    for w in done
+                ]
+            )
+            final += done
+    sums = [0] * g.n
+    out = [0] * m
+    free = list(pool)  # unused labels, ascending
+
+    def window(t: int) -> tuple[int, int]:
+        """Index range of the free labels that keep step t in degree order."""
+        lo, hi = -math.inf, math.inf
+        for w, below, above in bounds[t]:
+            if below:
+                lo = max(lo, max(map(sums.__getitem__, below)) - sums[w])
+            if above:
+                hi = min(hi, min(map(sums.__getitem__, above)) - sums[w])
+        return bisect_right(free, lo), bisect_left(free, hi)
 
     def rec(t: int) -> bool:
-        if t == g.m:
+        if t == m:
             return True
-        ei = order[t]
-        u, v = edges[ei]
-        for li, lab in enumerate(pool):
-            if used[li]:
-                continue
-            used[li] = True
-            out[ei] = lab
-            sums[u] += lab
-            sums[v] += lab
-            admitted = []
-            ok = True
-            for w in finalize[t]:
-                if rule.admit(w, sums[w], deg[w]):
-                    admitted.append(w)
-                else:
-                    ok = False
-                    break
-            if ok and rec(t + 1):
-                return True
-            for w in reversed(admitted):
-                rule.retract(w, sums[w], deg[w])
-            sums[u] -= lab
-            sums[v] -= lab
-            used[li] = False
+        u, v, ei, done = plan[t]
+        su, sv = sums[u], sums[v]
+        first, stop = window(t) if strong else (0, m - t)
+        if not done:
+            for i in range(first, stop):
+                lab = free[i]
+                sums[u] = su + lab
+                sums[v] = sv + lab
+                del free[i]
+                if rec(t + 1):
+                    out[ei] = lab
+                    return True
+                free.insert(i, lab)
+        elif len(done) == 1:
+            w = done[0]
+            x = v if w == u else u
+            sw, sx = sums[w], sums[x]
+            seen_w = seen[w]
+            for i in range(first, stop):
+                lab = free[i]
+                s = sw + lab
+                if s in seen_w:
+                    continue
+                seen_w.add(s)
+                sums[w] = s
+                sums[x] = sx + lab
+                del free[i]
+                if rec(t + 1):
+                    out[ei] = lab
+                    return True
+                free.insert(i, lab)
+                seen_w.discard(s)
+        else:
+            seen_u, seen_v = seen[u], seen[v]
+            # the two new sums differ by sv - su whatever the label
+            if seen_u is seen_v and su == sv:
+                return False
+            if strong and (deg[u] - deg[v]) * (su - sv) < 0:
+                return False
+            for i in range(first, stop):
+                lab = free[i]
+                a = su + lab
+                if a in seen_u:
+                    continue
+                b = sv + lab
+                if b in seen_v:
+                    continue
+                seen_u.add(a)
+                seen_v.add(b)
+                sums[u] = a
+                sums[v] = b
+                del free[i]
+                if rec(t + 1):
+                    out[ei] = lab
+                    return True
+                free.insert(i, lab)
+                seen_u.discard(a)
+                seen_v.discard(b)
+        sums[u] = su
+        sums[v] = sv
         return False
 
     return tuple(out) if rec(0) else None
@@ -169,21 +196,21 @@ def _check_budget(g: Graph, budget: int) -> None:
 def decide(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> EdgeLabeling | None:
     """Exhaustively decide shift k: a labeling, or None when none exists."""
     _check_budget(g, budget)
-    found = _assign(g, list(range(k + 1, k + g.m + 1)), _DistinctRule())
+    found = _assign(g, list(range(k + 1, k + g.m + 1)), "distinct")
     return None if found is None else EdgeLabeling(g, found, base=k)
 
 
 def search_sdds(g: Graph, budget: int = DEFAULT_BUDGET) -> EdgeLabeling | None:
     """Exhaustively search for a same-degree-distinct-sum labeling."""
     _check_budget(g, budget)
-    found = _assign(g, list(range(1, g.m + 1)), _SddsRule())
+    found = _assign(g, list(range(1, g.m + 1)), "sdds")
     return None if found is None else EdgeLabeling(g, found, base=0)
 
 
 def search_strong(g: Graph, budget: int = DEFAULT_BUDGET) -> EdgeLabeling | None:
     """Exhaustively search for a degree-ordered distinct-sum labeling."""
     _check_budget(g, budget)
-    found = _assign(g, list(range(1, g.m + 1)), _StrongRule())
+    found = _assign(g, list(range(1, g.m + 1)), "strong")
     return None if found is None else EdgeLabeling(g, found, base=0)
 
 

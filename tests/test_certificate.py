@@ -23,7 +23,13 @@ from antimagic.errors import (
 )
 from antimagic.families import path
 from antimagic.graph import canonical_edge
-from antimagic.labeling import EdgeLabeling, Verdict, is_sdds, verify_shifted
+from antimagic.labeling import (
+    EdgeLabeling,
+    Verdict,
+    is_sdds,
+    is_strongly_antimagic,
+    verify_shifted,
+)
 from conftest import random_graph
 from test_graph import outcome, seed_build_graph
 
@@ -356,12 +362,51 @@ def test_checks_match_the_code_they_replaced(case, tampering, rng):
     assert repr(judged(check_certificate, doc)) == repr(judged(seed_check_certificate, doc))
 
 
+def seed_require_one_to_m(f):
+    if sorted(f.labels) != list(range(1, f.graph.m + 1)):
+        raise LabelsNotOneToM(
+            f"labels must be a permutation of 1..{f.graph.m}, got {sorted(f.labels)}"
+        )
+
+
+def seed_is_strongly_antimagic(f):
+    seed_require_one_to_m(f)
+    return is_strongly_antimagic(f)
+
+
+ONE_TO_M_TAMPERINGS = (
+    "none", "bool", "float", "intenum", "zero", "duplicate", "past-m",
+    "list", "all-lists", "all-floats",
+)
+
+
+def tamper_one_to_m(labels, tampering):
+    m = len(labels)
+    if not labels or tampering == "none":
+        return labels
+    if tampering == "all-lists":
+        return [[lab] for lab in labels]
+    if tampering == "all-floats":
+        return [float(lab) for lab in labels]
+    labels[0] = {
+        "bool": True,
+        "float": float(labels[0]),
+        "intenum": Label.THREE,
+        "zero": 0,
+        "duplicate": labels[-1],
+        "past-m": m + 1,
+        "list": [labels[0]],
+    }[tampering]
+    return labels
+
+
 @settings(max_examples=300)
-@given(labelings(), st.sampled_from(["none", "bool", "float", "intenum", "zero"]))
+@given(labelings(), st.sampled_from(ONE_TO_M_TAMPERINGS))
 def test_is_sdds_matches_the_code_it_replaced(case, tampering):
     f, k = case
-    labels = [lab - k for lab in f.labels]
-    if labels and tampering != "none":
-        labels[0] = {"bool": True, "float": float(labels[0]), "intenum": Label.THREE, "zero": 0}[tampering]
+    labels = tamper_one_to_m([lab - k for lab in f.labels], tampering)
     g = EdgeLabeling(f.graph, tuple(labels))
     assert repr(outcome(is_sdds, g)) == repr(outcome(seed_is_sdds, g))
+    assert repr(outcome(is_strongly_antimagic, g)) == repr(
+        outcome(seed_is_strongly_antimagic, g)
+    )
