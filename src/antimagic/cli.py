@@ -16,18 +16,8 @@ import json
 import re
 import sys
 
-from . import families
 from .certificate import _check_certificate, labeling_to_certificate
-from .constructors import (
-    construct_cp3,
-    construct_double_star,
-    construct_p5prime,
-    construct_path_shifted,
-    construct_star,
-    construct_two_p4,
-    construct_two_s3,
-    p3_threshold,
-)
+from .constructors import p3_threshold
 from .errors import (
     AntimagicError,
     BadParameters,
@@ -35,13 +25,15 @@ from .errors import (
     NoSddsFound,
 )
 from .graph import Graph, parse_edge_list
-from .labeling import EdgeLabeling, negate_labeling, shift_labeling
+from .labeling import EdgeLabeling
 from .spectrum import (
     DEFAULT_BUDGET,
+    FAMILIES,
     AllShifts,
     closed_form_spectrum,
     decide,
     finite_window,
+    lift,
     spectrum,
 )
 
@@ -49,10 +41,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REJECT = 2
 
-_FAMILY_HELP = (
-    "path, star, double_star, cp3, two_p4, two_s3, p5prime, cycle, complete, "
-    "complete_bipartite, cube, petersen; shorthands like p7 (path) and s4 (star)"
-)
+_FAMILY_HELP = f"{', '.join(FAMILIES)}; shorthands like p7 (path) and s4 (star)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,93 +69,37 @@ def _emit(doc: dict, out: str | None) -> None:
             fh.write(text)
 
 
-def _need(args: argparse.Namespace, family: str, key: str) -> int:
-    value = getattr(args, key, None)
-    if value is None:
-        raise BadParameters(f"family {family!r} needs --{key}")
-    return value
-
-
-def _build_family(args: argparse.Namespace) -> tuple[Graph, dict | None]:
-    """Resolve --family into a graph plus a descriptor for special handling."""
+def _build_family(args: argparse.Namespace) -> tuple[Graph, tuple[str, dict]]:
+    """Resolve --family into a graph plus its registry name and parameters."""
     name = args.family.strip().lower().replace("-", "_")
-    short = re.fullmatch(r"p(\d+)", name)
+    short = re.fullmatch(r"([ps])(\d+)", name)
     if short:
-        n = int(short.group(1))
-        return families.path(n), {"family": "path", "n": n}
-    short = re.fullmatch(r"s(\d+)", name)
-    if short:
-        n = int(short.group(1))
-        return families.star(n), {"family": "star", "n": n}
-    if name == "path":
-        n = _need(args, name, "n")
-        return families.path(n), {"family": "path", "n": n}
-    if name == "star":
-        n = _need(args, name, "n")
-        return families.star(n), {"family": "star", "n": n}
-    if name == "double_star":
-        a, b = _need(args, name, "a"), _need(args, name, "b")
-        return families.double_star(a, b), {"family": "double_star", "a": a, "b": b}
-    if name == "cp3":
-        c = _need(args, name, "c")
-        return families.cp3(c), {"family": "cp3", "c": c}
-    if name == "two_p4":
-        return families.two_p4(), {"family": "two_p4"}
-    if name == "two_s3":
-        return families.two_s3(), {"family": "two_s3"}
-    if name == "p5prime":
-        return families.p5prime(), {"family": "p5prime"}
-    if name == "cycle":
-        return families.cycle(_need(args, name, "n")), None
-    if name == "complete":
-        return families.complete(_need(args, name, "n")), None
-    if name == "complete_bipartite":
-        a, b = _need(args, name, "a"), _need(args, name, "b")
-        return families.complete_bipartite(a, b), None
-    if name == "cube":
-        return families.cube(), None
-    if name == "petersen":
-        return families.petersen(), None
-    raise BadParameters(f"unknown family {args.family!r}")
+        name = {"p": "path", "s": "star"}[short.group(1)]
+        params = {"n": int(short.group(2))}
+    elif name in FAMILIES:
+        params = {key: getattr(args, key, None) for key in FAMILIES[name].params}
+        for key, value in params.items():
+            if value is None:
+                raise BadParameters(f"family {name!r} needs --{key}")
+    else:
+        raise BadParameters(f"unknown family {args.family!r}")
+    return FAMILIES[name].build(**params), (name, params)
 
 
-def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict | None]:
+def _load_graph(args: argparse.Namespace) -> tuple[Graph, tuple[str, dict] | None]:
     if getattr(args, "graph", None):
         return parse_edge_list(_read_text(args.graph)), None
     return _build_family(args)
 
 
 def _construct_any(
-    g: Graph, desc: dict | None, k: int, budget: int
+    g: Graph, desc: tuple[str, dict] | None, k: int, budget: int
 ) -> EdgeLabeling | None:
     if desc is not None:
-        fam = desc["family"]
-        if fam == "path":
-            n = desc["n"]
-            if n == 2:
-                return None
-            if n >= 6:
-                return construct_path_shifted(n, k)
-            return decide(g, k, budget)
-        if fam == "star":
-            if desc["n"] == 1:
-                return None
-            return construct_star(desc["n"], k)
-        if fam == "double_star":
-            return construct_double_star(desc["a"], desc["b"], k)
-        if fam == "cp3":
-            c = desc["c"]
-            if k >= c // 2:
-                return construct_cp3(c, k)
-            if k < -((5 * c) // 2):
-                return negate_labeling(construct_cp3(c, -(2 * c + k + 1)))
-            return None
-        if fam == "two_p4":
-            return construct_two_p4(k)
-        if fam == "two_s3":
-            return construct_two_s3(k)
-        if fam == "p5prime":
-            return construct_p5prime(k)
+        name, params = desc
+        construct = FAMILIES[name].construct
+        if construct is not None:
+            return construct(k, g=g, budget=budget, **params)
     try:
         win = finite_window(g, budget)
     except NoSddsFound:
@@ -177,11 +110,9 @@ def _construct_any(
         if g.m:
             return None
         return decide(g, k, budget)
-    if k > win.hi:
-        return shift_labeling(win.certificate, k)
-    if k < win.lo:
-        return negate_labeling(shift_labeling(win.certificate, -(g.m + 1) - k))
-    return decide(g, k, budget)
+    if win.lo <= k <= win.hi:
+        return decide(g, k, budget)
+    return lift(win, k)
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -259,27 +190,14 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         report = spectrum(g, window=override, budget=args.budget)
     except NoSddsFound:
         if desc is not None:
+            name, params = desc
             try:
-                known = closed_form_spectrum(
-                    desc["family"],
-                    n=desc.get("n"),
-                    a=desc.get("a"),
-                    b=desc.get("b"),
-                    c=desc.get("c"),
-                )
+                known = closed_form_spectrum(name, **params)
             except BadParameters:
                 known = None
             if isinstance(known, AllShifts):
-                _emit(
-                    {
-                        "n": g.n,
-                        "m": g.m,
-                        "edges": [list(e) for e in g.edges],
-                        "window": None,
-                        "excluded_all_shifts": True,
-                    },
-                    args.out,
-                )
+                doc = {"n": g.n, "m": g.m, "edges": [list(e) for e in g.edges]}
+                _emit({**doc, "window": None, "excluded_all_shifts": True}, args.out)
                 print("every shift is infeasible for this graph", file=sys.stderr)
                 return EXIT_OK
         raise

@@ -10,6 +10,8 @@ when that shift is provably infeasible for the family.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .errors import (
     BadParameters,
     EvenDegreeVertex,
@@ -28,12 +30,7 @@ from .graph import (
     layer_subgraphs,
     level_partition,
 )
-from .labeling import (
-    EdgeLabeling,
-    negate_labeling,
-    partial_vertex_sum,
-    shift_labeling,
-)
+from .labeling import EdgeLabeling, mirror, partial_vertex_sum, shift_labeling
 from .trails import find_sigma_and_trails, label_trails
 
 
@@ -151,20 +148,22 @@ def construct_path_shifted(n: int, k: int) -> EdgeLabeling:
     """
     if n < 6:
         raise PathTooShort(f"the every-shift construction needs n >= 6, got {n}")
-    if k >= 0:
-        return shift_labeling(construct_path_strong(n), k)
-    if k < -(n // 2):
-        return negate_labeling(construct_path_shifted(n, -(n + k)))
-    if k == -2:
-        if n % 2 == 1:
-            labels = [-1, 1, 0] + [i - 2 for i in range(4, n)]
-        else:
-            labels = [0, -1] + [n - i for i in range(3, n)]
-        return EdgeLabeling(path(n), tuple(labels), base=-2)
-    q = -k
-    head = [-lab for lab in _strong_path_labels(q)] if q >= 3 else []
-    tail = _strong_path_labels(n - q)
-    return EdgeLabeling(path(n), tuple(head + [0] + tail), base=k)
+
+    def upper(j: int) -> EdgeLabeling:
+        if j >= 0:
+            return shift_labeling(construct_path_strong(n), j)
+        if j == -2:
+            if n % 2 == 1:
+                labels = [-1, 1, 0] + [i - 2 for i in range(4, n)]
+            else:
+                labels = [0, -1] + [n - i for i in range(3, n)]
+            return EdgeLabeling(path(n), tuple(labels), base=-2)
+        q = -j
+        head = [-lab for lab in _strong_path_labels(q)] if q >= 3 else []
+        tail = _strong_path_labels(n - q)
+        return EdgeLabeling(path(n), tuple(head + [0] + tail), base=j)
+
+    return mirror(upper, n - 1, k)
 
 
 def construct_star(leaves: int, k: int) -> EdgeLabeling | None:
@@ -194,15 +193,17 @@ def _deal(labels_desc: list[int], count_a: int, count_b: int) -> tuple[list[int]
 
 
 def _double_star_plan(
-    big: int, small: int, k: int, m: int, pos: int, neg: int
+    big: int, small: int, k: int, m: int
 ) -> tuple[int, list[int], list[int]] | None:
     """Label values for a double star: (bridge, big-side leaves, small-side).
 
-    Assumes at least as many positive labels as negative ones; the caller
-    mirrors the other half of the shift axis. Returns None for the shifts
-    the family genuinely misses.
+    Assumes at least as many positive labels as negative ones, which holds
+    on the upper half 2k >= -(m+1); the caller mirrors the other half.
+    Returns None for the shifts the family genuinely misses.
     """
     labels = list(range(k + 1, k + m + 1))
+    neg = max(0, min(k + m, -1) - k)
+    pos = max(0, k + m) - max(0, k)
     diff = pos - neg
     if neg == 0:
         desc = labels[::-1]
@@ -252,26 +253,22 @@ def construct_double_star(a: int, b: int, k: int) -> EdgeLabeling | None:
     more leaves every shift works; a single-leaf center misses one or two
     shifts near the mirror axis.
     """
-    if a < 1 or b < 1:
-        raise BadParameters(f"double star needs a, b >= 1, got ({a}, {b})")
-    g = double_star(a, b)
-    m = a + b + 1
-    neg = max(0, min(k + m, -1) - k)
-    pos = max(0, k + m) - max(0, k)
-    if pos < neg:
-        sub = construct_double_star(a, b, -(m + k + 1))
-        return None if sub is None else negate_labeling(sub)
-    plan = _double_star_plan(max(a, b), min(a, b), k, m, pos, neg)
-    if plan is None:
-        return None
-    bridge, big_leaves, small_leaves = plan
-    v_list, u_list = (big_leaves, small_leaves) if a >= b else (small_leaves, big_leaves)
-    mapping: dict[Edge, int] = {(0, 1): bridge}
-    for i, lab in enumerate(v_list):
-        mapping[(0, 2 + i)] = lab
-    for i, lab in enumerate(u_list):
-        mapping[(1, a + 2 + i)] = lab
-    return EdgeLabeling.from_dict(g, mapping, base=k)
+    g = double_star(a, b)  # raises BadParameters unless a, b >= 1
+
+    def upper(j: int) -> EdgeLabeling | None:
+        plan = _double_star_plan(max(a, b), min(a, b), j, g.m)
+        if plan is None:
+            return None
+        bridge, big_leaves, small_leaves = plan
+        v_list, u_list = (big_leaves, small_leaves) if a >= b else (small_leaves, big_leaves)
+        mapping: dict[Edge, int] = {(0, 1): bridge}
+        for i, lab in enumerate(v_list):
+            mapping[(0, 2 + i)] = lab
+        for i, lab in enumerate(u_list):
+            mapping[(1, a + 2 + i)] = lab
+        return EdgeLabeling.from_dict(g, mapping, base=j)
+
+    return mirror(upper, g.m, k)
 
 
 def _cp3_pairs(c: int) -> list[tuple[int, int]]:
@@ -298,10 +295,9 @@ def construct_cp3(c: int, k: int) -> EdgeLabeling:
     endpoint sums are the labels themselves and the center sums form runs
     sitting strictly above them. Shifts below c//2 down to the other end
     of the excluded band are impossible, and anything lower is reached by
-    negating this construction; both are the caller's business.
+    negating this construction (`mirror`); both are the caller's business.
     """
-    if c < 1:
-        raise BadParameters(f"need at least one component, got {c}")
+    g = cp3(c)  # raises BadParameters unless c >= 1
     if k < c // 2:
         raise KBelowThreshold(f"direct construction needs k >= {c // 2}, got {k}")
     t = k - c // 2
@@ -309,33 +305,44 @@ def construct_cp3(c: int, k: int) -> EdgeLabeling:
     for i, (small, large) in enumerate(_cp3_pairs(c)):
         mapping[(3 * i, 3 * i + 1)] = small + t
         mapping[(3 * i + 1, 3 * i + 2)] = large + t
-    return EdgeLabeling.from_dict(cp3(c), mapping, base=k)
+    return EdgeLabeling.from_dict(g, mapping, base=k)
+
+
+def _tabled(
+    build: Callable[[], Graph],
+    m: int,
+    start: int,
+    offsets: tuple[int, ...],
+    fixed: dict[int, tuple[int, ...]],
+    k: int,
+) -> EdgeLabeling | None:
+    """k-shifted labeling of a fixed m-edge graph from a table, or None.
+
+    On the upper half 2k >= -(m+1), shifts from `start` up add k to
+    `offsets`, the shifts in `fixed` take their listed labels, and every
+    other shift is infeasible; `mirror` covers the lower half.
+    """
+
+    def upper(j: int) -> EdgeLabeling | None:
+        if j >= start:
+            labels = tuple(j + x for x in offsets)
+        elif j in fixed:
+            labels = fixed[j]
+        else:
+            return None
+        return EdgeLabeling(build(), labels, base=j)
+
+    return mirror(upper, m, k)
 
 
 def construct_two_p4(k: int) -> EdgeLabeling | None:
     """k-shifted labeling of two disjoint four-vertex paths, or None."""
-    if k >= -1:
-        labels = (k + 1, k + 5, k + 2, k + 3, k + 6, k + 4)
-    elif k == -3:
-        labels = (-2, -1, 0, 2, 3, 1)
-    elif k in (-2, -5):
-        return None
-    else:
-        return negate_labeling(construct_two_p4(-(k + 7)))
-    return EdgeLabeling(two_p4(), labels, base=k)
+    return _tabled(two_p4, 6, -1, (1, 5, 2, 3, 6, 4), {-3: (-2, -1, 0, 2, 3, 1)}, k)
 
 
 def construct_two_s3(k: int) -> EdgeLabeling | None:
     """k-shifted labeling of two disjoint three-leaf stars, or None."""
-    if k >= -1:
-        labels = (k + 1, k + 3, k + 6, k + 2, k + 4, k + 5)
-    elif k == -3:
-        labels = (-2, -1, 0, 1, 2, 3)
-    elif k in (-2, -5):
-        return None
-    else:
-        return negate_labeling(construct_two_s3(-(k + 7)))
-    return EdgeLabeling(two_s3(), labels, base=k)
+    return _tabled(two_s3, 6, -1, (1, 3, 6, 2, 4, 5), {-3: (-2, -1, 0, 1, 2, 3)}, k)
 
 
 def construct_p5prime(k: int) -> EdgeLabeling | None:
@@ -344,17 +351,9 @@ def construct_p5prime(k: int) -> EdgeLabeling | None:
     Labels are in canonical edge order: the four path edges interleaved
     with the pendant edge at the middle vertex.
     """
-    if k >= 0:
-        labels = (k + 2, k + 4, k + 5, k + 1, k + 3)
-    elif k == -1:
-        labels = (1, 3, 4, 0, 2)
-    elif k == -2:
-        labels = (3, 2, 1, -1, 0)
-    elif k == -3:
-        return None
-    else:
-        return negate_labeling(construct_p5prime(-(k + 6)))
-    return EdgeLabeling(p5prime(), labels, base=k)
+    return _tabled(
+        p5prime, 5, 0, (2, 4, 5, 1, 3), {-1: (1, 3, 4, 0, 2), -2: (3, 2, 1, -1, 0)}, k
+    )
 
 
 def p3_threshold(m: int) -> int:

@@ -56,14 +56,6 @@ class Graph:
             row.sort()
         return adj
 
-    def incident(self) -> list[list[int]]:
-        """For each vertex, the indices into `edges` of its incident edges."""
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for i, (u, v) in enumerate(self.edges):
-            inc[u].append(i)
-            inc[v].append(i)
-        return inc
-
     def degrees(self) -> list[int]:
         """Vertex degrees, read off the cached adjacency rows.
 
@@ -82,12 +74,6 @@ class Graph:
 
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in set(self.edges)
-
-    def edge_index(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.edges)}
 
 
 def build_graph(n: int, edges) -> Graph:

@@ -10,7 +10,7 @@ recomputed from the labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import (
     EmptyGraph,
@@ -44,13 +44,6 @@ class EdgeLabeling:
                 raise IncompleteLabeling(f"edge {e} has no label")
             labels.append(mapping[e])
         return cls(graph, tuple(labels), base)
-
-    def label_of(self, u: int, v: int) -> int:
-        e = canonical_edge(u, v)
-        for i, other in enumerate(self.graph.edges):
-            if other == e:
-                return self.labels[i]
-        raise KeyError(f"no edge {e} in graph")
 
     def as_dict(self) -> dict[Edge, int]:
         return dict(zip(self.graph.edges, self.labels))
@@ -250,6 +243,20 @@ def negate_labeling(f: EdgeLabeling) -> EdgeLabeling:
     """
     base = None if f.base is None else -(f.graph.m + f.base + 1)
     return EdgeLabeling(f.graph, tuple(-lab for lab in f.labels), base)
+
+
+def mirror(upper: Callable[[int], EdgeLabeling | None], m: int, k: int) -> EdgeLabeling | None:
+    """A k-shifted labeling from a construction of the upper half only.
+
+    `upper(j)` must return a j-shifted labeling of an m-edge graph, or None
+    when shift j is infeasible, for every j with 2j >= -(m+1). Negation
+    maps shift j to -(m+1)-j, so below that axis the answer is the
+    negation of `upper(-(m+1)-k)`, and None stays None.
+    """
+    if 2 * k >= -(m + 1):
+        return upper(k)
+    f = upper(-(m + 1) - k)
+    return None if f is None else negate_labeling(f)
 
 
 def sdds_shift_threshold(g: Graph) -> int:

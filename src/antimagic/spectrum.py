@@ -12,8 +12,20 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .constructors import construct_forest_sdds, construct_odd_degree
+from . import families
+from .constructors import (
+    construct_cp3,
+    construct_double_star,
+    construct_forest_sdds,
+    construct_odd_degree,
+    construct_p5prime,
+    construct_path_shifted,
+    construct_star,
+    construct_two_p4,
+    construct_two_s3,
+)
 from .errors import (
     BadParameters,
     BudgetExceeded,
@@ -24,12 +36,7 @@ from .errors import (
     NoValidSigma,
 )
 from .graph import Graph
-from .labeling import (
-    EdgeLabeling,
-    negate_labeling,
-    sdds_shift_threshold,
-    shift_labeling,
-)
+from .labeling import EdgeLabeling, mirror, sdds_shift_threshold, shift_labeling
 
 DEFAULT_BUDGET = 10
 
@@ -266,6 +273,17 @@ def finite_window(g: Graph, budget: int = DEFAULT_BUDGET) -> WindowResult:
     return WindowResult(-(hi + g.m + 1), hi, "sdds", cert)
 
 
+def lift(win: WindowResult, k: int) -> EdgeLabeling:
+    """The window's certificate carried to a shift k outside the window.
+
+    Above the window the certificate is shifted to k. Below it, the
+    labeling for the mirror shift -(m+1)-k is negated; that shift lies
+    above the window, because every window has lo = -(hi+m+1).
+    """
+    cert = win.certificate
+    return mirror(lambda j: shift_labeling(cert, j), cert.graph.m, k)
+
+
 @dataclass(frozen=True)
 class ShiftStatus:
     k: int
@@ -348,30 +366,27 @@ def spectrum(
         if sweep_lo > sweep_hi:
             raise BadParameters(f"empty sweep range {sweep_lo}..{sweep_hi}")
     cache: dict[int, EdgeLabeling | None] = {}
+
+    def decided(j: int) -> EdgeLabeling | None:
+        if j not in cache:
+            cache[j] = decide(g, j, budget)
+        return cache[j]
+
     entries: list[ShiftStatus] = []
     excluded: list[int] = []
     for k in range(sweep_lo, sweep_hi + 1):
-        if win is not None and k > win.hi:
-            lifted = shift_labeling(win.certificate, k)
-            entries.append(ShiftStatus(k, "lemma", f"{win.method}-shift", lifted))
+        if win is not None and not win.lo <= k <= win.hi:
+            via = f"{win.method}-shift" if k > win.hi else "negation-symmetry"
+            entries.append(ShiftStatus(k, "lemma", via, lift(win, k)))
             continue
-        if win is not None and k < win.lo:
-            lifted = shift_labeling(win.certificate, -(m + 1) - k)
-            entries.append(
-                ShiftStatus(k, "lemma", "negation-symmetry", negate_labeling(lifted))
-            )
-            continue
-        probe = k if 2 * k >= -(m + 1) else -(m + 1) - k
-        if probe not in cache:
-            cache[probe] = decide(g, probe, budget)
-        found = cache[probe]
-        via = "search" if probe == k else "mirror"
+        found = mirror(decided, m, k)
+        # mirror decides k itself exactly when k is on the upper half
+        via = "search" if k in cache else "mirror"
         if found is None:
             entries.append(ShiftStatus(k, "infeasible", via, None))
             excluded.append(k)
         else:
-            cert = found if probe == k else negate_labeling(found)
-            entries.append(ShiftStatus(k, "feasible", via, cert))
+            entries.append(ShiftStatus(k, "feasible", via, found))
     return SpectrumReport(g, win, sweep_lo, sweep_hi, tuple(excluded), tuple(entries))
 
 
@@ -394,6 +409,117 @@ class AllShifts:
 ALL_SHIFTS = AllShifts()
 
 
+def _path_excluded(n: int | None) -> frozenset[int] | AllShifts:
+    if n is None or n < 2:
+        raise BadParameters("path needs n >= 2")
+    if n == 2:
+        return ALL_SHIFTS
+    return {3: frozenset({-2, -1}), 4: frozenset({-2}), 5: frozenset({-3, -2})}.get(n, frozenset())
+
+
+def _star_excluded(n: int | None) -> frozenset[int] | AllShifts:
+    if n is None or n < 1:
+        raise BadParameters("star needs a leaf count n >= 1")
+    if n == 1:
+        return ALL_SHIFTS
+    if n % 2 == 0:
+        return frozenset({-n // 2 - 1, -n // 2})
+    return frozenset({-(n + 1) // 2})
+
+
+def _double_star_excluded(a: int | None, b: int | None) -> frozenset[int]:
+    if a is None or b is None or a < 1 or b < 1:
+        raise BadParameters("double star needs a, b >= 1")
+    big, small = max(a, b), min(a, b)
+    if small >= 2:
+        return frozenset()
+    if big == 1:
+        return frozenset({-2})
+    if big == 2:
+        return frozenset({-3, -2})
+    if big % 2 == 1:
+        return frozenset({-(big + 3) // 2})
+    return frozenset()
+
+
+def _cp3_excluded(c: int | None) -> frozenset[int]:
+    if c is None or c < 1:
+        raise BadParameters("need a component count c >= 1")
+    return frozenset(range(-((5 * c) // 2), c // 2))
+
+
+def _construct_path(k: int, g: Graph, budget: int, n: int) -> EdgeLabeling | None:
+    # the single edge has no labeling; below six vertices, search
+    if n == 2:
+        return None
+    if n >= 6:
+        return construct_path_shifted(n, k)
+    return decide(g, k, budget)
+
+
+def _construct_cp3(k: int, g: Graph, budget: int, c: int) -> EdgeLabeling | None:
+    # from c//2 down to the mirror axis lies the excluded band
+    return mirror(lambda j: construct_cp3(c, j) if j >= c // 2 else None, g.m, k)
+
+
+class Family(NamedTuple):
+    """A graph family known by name, built from the keyword `params`.
+
+    `construct(k, g=graph, budget=budget, **params)` returns a k-shifted
+    labeling of the built graph or None when k is infeasible; `excluded`
+    gives the closed-form infeasible shifts, and raises BadParameters on a
+    parameter out of range or None. Entries call builders and constructors
+    through their modules, so a function rebound there is the one called.
+    """
+
+    params: tuple[str, ...]
+    build: Callable[..., Graph]
+    construct: Callable[..., EdgeLabeling | None] | None = None
+    excluded: Callable[..., frozenset[int] | AllShifts] | None = None
+
+
+# Adding a family means adding one entry here.
+FAMILIES: dict[str, Family] = {
+    "path": Family(("n",), lambda n: families.path(n), _construct_path, _path_excluded),
+    "star": Family(
+        ("n",),
+        lambda n: families.star(n),
+        lambda k, n, **_: None if n == 1 else construct_star(n, k),
+        _star_excluded,
+    ),
+    "double_star": Family(
+        ("a", "b"),
+        lambda a, b: families.double_star(a, b),
+        lambda k, a, b, **_: construct_double_star(a, b, k),
+        _double_star_excluded,
+    ),
+    "cp3": Family(("c",), lambda c: families.cp3(c), _construct_cp3, _cp3_excluded),
+    "two_p4": Family(
+        (),
+        lambda: families.two_p4(),
+        lambda k, **_: construct_two_p4(k),
+        lambda: frozenset({-5, -2}),
+    ),
+    "two_s3": Family(
+        (),
+        lambda: families.two_s3(),
+        lambda k, **_: construct_two_s3(k),
+        lambda: frozenset({-5, -2}),
+    ),
+    "p5prime": Family(
+        (),
+        lambda: families.p5prime(),
+        lambda k, **_: construct_p5prime(k),
+        lambda: frozenset({-3}),
+    ),
+    "cycle": Family(("n",), lambda n: families.cycle(n)),
+    "complete": Family(("n",), lambda n: families.complete(n)),
+    "complete_bipartite": Family(("a", "b"), lambda a, b: families.complete_bipartite(a, b)),
+    "cube": Family((), lambda: families.cube()),
+    "petersen": Family((), lambda: families.petersen()),
+}
+
+
 def closed_form_spectrum(
     family: str,
     n: int | None = None,
@@ -406,45 +532,8 @@ def closed_form_spectrum(
     Returns a frozenset of infeasible shifts, or ALL_SHIFTS for the
     single-edge graph where no shift works.
     """
-    if family == "path":
-        if n is None or n < 2:
-            raise BadParameters("path needs n >= 2")
-        if n == 2:
-            return ALL_SHIFTS
-        return {
-            3: frozenset({-2, -1}),
-            4: frozenset({-2}),
-            5: frozenset({-3, -2}),
-        }.get(n, frozenset())
-    if family == "star":
-        if n is None or n < 1:
-            raise BadParameters("star needs a leaf count n >= 1")
-        if n == 1:
-            return ALL_SHIFTS
-        if n % 2 == 0:
-            return frozenset({-n // 2 - 1, -n // 2})
-        return frozenset({-(n + 1) // 2})
-    if family == "double_star":
-        if a is None or b is None or a < 1 or b < 1:
-            raise BadParameters("double star needs a, b >= 1")
-        big, small = max(a, b), min(a, b)
-        if small >= 2:
-            return frozenset()
-        if big == 1:
-            return frozenset({-2})
-        if big == 2:
-            return frozenset({-3, -2})
-        if big % 2 == 1:
-            return frozenset({-(big + 3) // 2})
-        return frozenset()
-    if family == "cp3":
-        if c is None or c < 1:
-            raise BadParameters("need a component count c >= 1")
-        return frozenset(range(-((5 * c) // 2), c // 2))
-    if family == "two_p4":
-        return frozenset({-5, -2})
-    if family == "two_s3":
-        return frozenset({-5, -2})
-    if family == "p5prime":
-        return frozenset({-3})
-    raise BadParameters(f"no closed form for family {family!r}")
+    entry = FAMILIES.get(family) if isinstance(family, str) else None
+    if entry is None or entry.excluded is None:
+        raise BadParameters(f"no closed form for family {family!r}")
+    given = {"n": n, "a": a, "b": b, "c": c}
+    return entry.excluded(**{key: given[key] for key in entry.params})

@@ -50,12 +50,6 @@ class TrailDecomposition:
     sigma: tuple[tuple[int, Edge], ...]  # (deep vertex, reserved edge)
     trails: tuple[Trail, ...]
 
-    def sigma_map(self) -> dict[int, Edge]:
-        return dict(self.sigma)
-
-    def sigma_edges(self) -> set[Edge]:
-        return {e for _, e in self.sigma}
-
     def validate(self) -> None:
         """Raise ValueError unless every structural invariant holds."""
         deep = set(self.deep)
@@ -212,15 +206,18 @@ def find_sigma_and_trails(h: Graph, deep: Iterable[int]) -> TrailDecomposition:
 
     Searches depth-first over per-vertex incident-edge choices in canonical
     order; the first choice whose remainder decomposes wins. Raises
-    NoValidSigma when no choice works (or a deep vertex has no incident
-    edge, which means the input did not come from a level partition).
+    NoValidSigma when no choice works, or when the input did not come from
+    a level partition: an edge without exactly one deep endpoint, or a
+    deep vertex with no incident edge.
     """
     deep_sorted = sorted(set(deep))
     incident: dict[int, list[Edge]] = {v: [] for v in deep_sorted}
     for e in h.edges:
-        for v in e:
-            if v in incident:
-                incident[v].append(e)
+        u, v = e
+        u_deep = u in incident
+        if u_deep == (v in incident):
+            raise NoValidSigma(f"edge {e} does not join a deep vertex to a shallow one")
+        incident[u if u_deep else v].append(e)
     for v in deep_sorted:
         if not incident[v]:
             raise NoValidSigma(f"deep vertex {v} has no incident cross edge")

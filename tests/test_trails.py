@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 
 from antimagic.errors import NoValidSigma, OddWMTrail, RangeSizeMismatch
@@ -42,7 +45,7 @@ def test_k33_sigma_skips_eulerian_remainder():
     dec = find_sigma_and_trails(cross, deep)
     # reserving (1,3) and (2,3) first would leave the 4-cycle 1-4-2-5,
     # which has no odd vertex, so the search moves sigma(2) to (2,4)
-    assert dec.sigma_map() == {1: (1, 3), 2: (2, 4)}
+    assert dict(dec.sigma) == {1: (1, 3), 2: (2, 4)}
     assert len(dec.trails) == 1
     walk = dec.trails[0]
     assert walk.kind == "W"
@@ -53,7 +56,7 @@ def test_k33_sigma_skips_eulerian_remainder():
 def test_cube_top_level_splits_into_one_w_trail():
     cross, deep = cross_block(cube(), 3)
     dec = find_sigma_and_trails(cross, deep)
-    assert dec.sigma_map() == {7: (3, 7)}
+    assert dict(dec.sigma) == {7: (3, 7)}
     assert [t.kind for t in dec.trails] == ["W"]
     assert dec.trails[0].vertices == (5, 7, 6)
     dec.validate()
@@ -126,6 +129,29 @@ def test_no_sigma_when_every_remainder_is_eulerian():
     h = build_graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
     with pytest.raises(NoValidSigma):
         find_sigma_and_trails(h, {3})
+
+
+def test_no_sigma_when_an_edge_has_two_deep_ends():
+    # (1, 3) joins two deep vertices, so this is not a cross block; the
+    # search used to accept it and label_trails then raised ValueError
+    h = build_graph(4, [(2, 3), (0, 2), (1, 2), (0, 3), (1, 3)])
+    with pytest.raises(NoValidSigma):
+        find_sigma_and_trails(h, [3, 1])
+
+
+def test_arbitrary_blocks_are_labeled_or_rejected_with_no_valid_sigma():
+    rng = random.Random(7)
+    for _ in range(2000):
+        n = rng.randint(2, 7)
+        pool = list(combinations(range(n), 2))
+        h = build_graph(n, rng.sample(pool, rng.randint(1, min(len(pool), 8))))
+        deep = rng.sample(range(n), rng.randint(1, n - 1))
+        try:
+            dec = find_sigma_and_trails(h, deep)
+        except NoValidSigma:
+            continue
+        assert all(sum(1 for v in e if v in dec.deep) == 1 for e in h.edges)
+        label_trails(dec, range(1, 1 + sum(t.edge_count for t in dec.trails)))
 
 
 def test_validate_rejects_broken_decompositions():
