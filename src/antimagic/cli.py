@@ -12,6 +12,7 @@ Exit codes: 0 for success/feasible/valid, 2 for infeasible/invalid,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -235,7 +236,13 @@ def _add_graph_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c", type=int, help="component count for cp3")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every `main` call.
+
+    Parsing leaves it unchanged, and the handlers it names look up the
+    toolkit's functions as module globals when they run.
+    """
     parser = _Parser(
         prog="antimagic",
         description="Construct, verify, and decide shifted-antimagic labelings.",

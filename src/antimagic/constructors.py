@@ -10,7 +10,7 @@ when that shift is provably infeasible for the family.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import (
     BadParameters,

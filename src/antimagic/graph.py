@@ -7,7 +7,7 @@ equal as values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import (
@@ -27,12 +27,16 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
-    """A simple undirected graph on vertices 0..n-1."""
+class Graph(namedtuple("Graph", "n edges")):
+    """A simple undirected graph on vertices 0..n-1.
 
-    n: int
-    edges: tuple[Edge, ...]
+    `n` is the vertex count, `edges` the canonical edge tuple. Unlike the
+    other records, a graph has an instance dict: it holds the cached
+    adjacency and degrees, and is written only by those caches.
+    """
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign {name!r}: a Graph is immutable")
 
     @property
     def m(self) -> int:
@@ -124,16 +128,14 @@ def _canonical_edges(n: int, edges) -> list[Edge]:
     return canon
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(namedtuple("Component", "graph vertices")):
     """A connected component re-indexed to 0..k-1.
 
     `vertices[new_id]` is the original vertex id, so labelings computed on
-    the component can be mapped back onto the parent graph.
+    the component `graph` can be mapped back onto the parent graph.
     """
 
-    graph: Graph
-    vertices: tuple[int, ...]
+    __slots__ = ()
 
     def parent_edge(self, e: Edge) -> Edge:
         return canonical_edge(self.vertices[e[0]], self.vertices[e[1]])
@@ -178,12 +180,10 @@ def components(g: Graph) -> list[Component]:
     return out
 
 
-@dataclass(frozen=True)
-class LevelPartition:
+class LevelPartition(namedtuple("LevelPartition", "root levels")):
     """Breadth-first layers from a root: levels[i] holds distance-i vertices."""
 
-    root: int
-    levels: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def d(self) -> int:

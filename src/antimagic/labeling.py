@@ -9,8 +9,8 @@ recomputed from the labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from collections import namedtuple
+from collections.abc import Callable, Mapping
 
 from .errors import (
     EmptyGraph,
@@ -21,17 +21,23 @@ from .errors import (
 from .graph import Edge, Graph, canonical_edge
 
 
-@dataclass(frozen=True)
-class EdgeLabeling:
-    graph: Graph
-    labels: tuple[int, ...]
-    base: int | None = None
+class EdgeLabeling(namedtuple("EdgeLabeling", "graph labels base")):
+    """Labels on a graph's edges, in canonical edge order, and the claimed
+    shift `base` (None for a raw labeling)."""
 
-    def __post_init__(self) -> None:
-        if len(self.labels) != self.graph.m:
-            raise IncompleteLabeling(
-                f"{len(self.labels)} labels for {self.graph.m} edges"
-            )
+    __slots__ = ()
+
+    def __new__(
+        cls, graph: Graph, labels: tuple[int, ...], base: int | None = None
+    ) -> EdgeLabeling:
+        if len(labels) != graph.m:
+            raise IncompleteLabeling(f"{len(labels)} labels for {graph.m} edges")
+        return tuple.__new__(cls, (graph, labels, base))
+
+    @classmethod
+    def _make(cls, iterable) -> EdgeLabeling:
+        # `_replace` builds through `_make`; both keep the length check
+        return cls(*iterable)
 
     @classmethod
     def from_dict(
@@ -49,19 +55,15 @@ class EdgeLabeling:
         return dict(zip(self.graph.edges, self.labels))
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a verification check.
+class Verdict(namedtuple("Verdict", "ok code witness detail", defaults=(None, None, None))):
+    """Outcome of a verification check; true exactly when `ok`.
 
     `code` names the first violated condition; `witness` pins down where.
     Checks run in a fixed order so the same bad input always yields the
     same verdict.
     """
 
-    ok: bool
-    code: str | None = None
-    witness: tuple | None = None
-    detail: str | None = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from . import families
 from .constructors import (
@@ -48,13 +47,13 @@ def _plan(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:
     the lowest edge index). Each step is (u, v, edge index, the vertices
     whose sums become final at that step).
     """
-    edges = g.edges
+    edges, m = g.edges, g.m
     unlab = list(g.degrees())
-    placed = [False] * g.m
+    placed = [False] * m
     plan = []
-    for _ in range(g.m):
+    for _ in range(m):
         best = best_score = -1
-        for ei in range(g.m):
+        for ei in range(m):
             if not placed[ei]:
                 u, v = edges[ei]
                 score = (unlab[u] == 1) + (unlab[v] == 1)
@@ -221,18 +220,15 @@ def search_strong(g: Graph, budget: int = DEFAULT_BUDGET) -> EdgeLabeling | None
     return None if found is None else EdgeLabeling(g, found, base=0)
 
 
-@dataclass(frozen=True)
-class WindowResult:
+class WindowResult(namedtuple("WindowResult", "lo hi method certificate")):
     """Closed interval of shifts not settled by a certificate argument.
 
     Shifts above `hi` come from shifting the certificate; shifts below
-    `lo` from negating a shifted certificate.
+    `lo` from negating a shifted certificate. `method` is "strong" or
+    "sdds", the kind of certificate.
     """
 
-    lo: int
-    hi: int
-    method: str  # "strong" | "sdds"
-    certificate: EdgeLabeling
+    __slots__ = ()
 
 
 def finite_window(g: Graph, budget: int = DEFAULT_BUDGET) -> WindowResult:
@@ -284,22 +280,25 @@ def lift(win: WindowResult, k: int) -> EdgeLabeling:
     return mirror(lambda j: shift_labeling(cert, j), cert.graph.m, k)
 
 
-@dataclass(frozen=True)
-class ShiftStatus:
-    k: int
-    status: str  # "feasible" | "infeasible" | "lemma"
-    via: str  # "search" | "mirror" | "strong-shift" | "sdds-shift" | "negation-symmetry"
-    certificate: EdgeLabeling | None
+class ShiftStatus(namedtuple("ShiftStatus", "k status via certificate")):
+    """One swept shift k.
+
+    `status` is "feasible", "infeasible" or "lemma"; `via` is "search",
+    "mirror", "strong-shift", "sdds-shift" or "negation-symmetry";
+    `certificate` is a k-shifted labeling, or None when infeasible.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    graph: Graph
-    window: WindowResult | None
-    sweep_lo: int
-    sweep_hi: int
-    excluded: tuple[int, ...]
-    entries: tuple[ShiftStatus, ...]
+class SpectrumReport(
+    namedtuple("SpectrumReport", "graph window sweep_lo sweep_hi excluded entries")
+):
+    """A sweep of shifts sweep_lo..sweep_hi, one ShiftStatus per shift in
+    `entries`; `excluded` lists the infeasible ones and `window` is the
+    provable window, or None without one."""
+
+    __slots__ = ()
 
     def entry(self, k: int) -> ShiftStatus:
         for row in self.entries:
@@ -462,20 +461,19 @@ def _construct_cp3(k: int, g: Graph, budget: int, c: int) -> EdgeLabeling | None
     return mirror(lambda j: construct_cp3(c, j) if j >= c // 2 else None, g.m, k)
 
 
-class Family(NamedTuple):
-    """A graph family known by name, built from the keyword `params`.
+class Family(namedtuple("Family", "params build construct excluded", defaults=(None, None))):
+    """A graph family known by name, built by `build(**params)`.
 
-    `construct(k, g=graph, budget=budget, **params)` returns a k-shifted
-    labeling of the built graph or None when k is infeasible; `excluded`
-    gives the closed-form infeasible shifts, and raises BadParameters on a
-    parameter out of range or None. Entries call builders and constructors
-    through their modules, so a function rebound there is the one called.
+    `params` names the keyword parameters. `construct(k, g=graph,
+    budget=budget, **params)` returns a k-shifted labeling of the built
+    graph or None when k is infeasible; `excluded(**params)` gives the
+    closed-form infeasible shifts, and raises BadParameters on a parameter
+    out of range or None. Either may be None where the family has none.
+    Entries call builders and constructors through their modules, so a
+    function rebound there is the one called.
     """
 
-    params: tuple[str, ...]
-    build: Callable[..., Graph]
-    construct: Callable[..., EdgeLabeling | None] | None = None
-    excluded: Callable[..., frozenset[int] | AllShifts] | None = None
+    __slots__ = ()
 
 
 # Adding a family means adding one entry here.

@@ -17,17 +17,17 @@ odd length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .errors import NoValidSigma, OddWMTrail, RangeSizeMismatch
 from .graph import Edge, Graph, canonical_edge
 
 
-@dataclass(frozen=True)
-class Trail:
-    vertices: tuple[int, ...]
-    kind: str  # "W" | "M" | "N"
+class Trail(namedtuple("Trail", "vertices kind")):
+    """An open trail through `vertices`, of `kind` "W", "M" or "N"."""
+
+    __slots__ = ()
 
     @property
     def edge_count(self) -> int:
@@ -41,14 +41,15 @@ class Trail:
         return Trail(tuple(reversed(self.vertices)), self.kind)
 
 
-@dataclass(frozen=True)
-class TrailDecomposition:
-    """A sigma choice plus open trails covering the rest of a cross block."""
+class TrailDecomposition(namedtuple("TrailDecomposition", "cross deep sigma trails")):
+    """A sigma choice plus open trails covering the rest of a cross block.
 
-    cross: Graph
-    deep: tuple[int, ...]  # the level-i vertices, ascending
-    sigma: tuple[tuple[int, Edge], ...]  # (deep vertex, reserved edge)
-    trails: tuple[Trail, ...]
+    `deep` holds the level-i vertices, ascending; `sigma` pairs each with
+    its reserved edge, as (deep vertex, edge); `trails` covers the rest of
+    the `cross` block's edges.
+    """
+
+    __slots__ = ()
 
     def validate(self) -> None:
         """Raise ValueError unless every structural invariant holds."""
@@ -354,8 +355,9 @@ def _check_pair_sums(
     # the whole construction leans on these sums; fail loudly if broken
     for t in trails:
         es = t.edges()
+        vs = t.vertices
         for j in range(len(es) - 1):
-            w = t.vertices[j + 1]
+            w = vs[j + 1]
             pair = out[es[j]] + out[es[j + 1]]
             allowed = (s + l, s + l - 1) if w in deep else (s + l, s + l + 1)
             if pair not in allowed:

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from antimagic import cli
 from antimagic.cli import main
 from antimagic.spectrum import decide
 
@@ -266,3 +269,52 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"edges": 0, "threshold": 2}
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_typing():
+    # -S skips site hooks, which may import typing before any package code
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, antimagic.cli; "
+         "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
+
+
+REUSE_REQUESTS = [
+    ["construct", "--family", "p6"],  # usage error: --k is missing
+    ["construct", "--family", "wheel", "--k", "0"],  # AntimagicError
+    ["construct", "--family", "p8", "--k", "-3"],
+    ["decide", "--family", "s4", "--k", "-3"],
+    ["threshold-p3", "--edges", "7"],
+]
+
+
+def outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_shared_parser_answers_like_a_fresh_one(capsys):
+    fresh = []
+    for argv in REUSE_REQUESTS:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    assert [code for code, _, _ in fresh] == [("SystemExit", 1), 1, 0, 2, 0]
+    assert "error: the following arguments are required: --k" in fresh[0][2]
+    assert fresh[1][2] == "error: unknown family 'wheel'\n"
+
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        for argv, want in zip(REUSE_REQUESTS, fresh):
+            assert outcome(capsys, argv) == want
+    assert cli._build_parser.cache_info().misses == 1

@@ -31,6 +31,17 @@ def test_from_dict_and_label_of():
         EdgeLabeling.from_dict(g, {(0, 1): 3, (1, 2): 1})
 
 
+def test_tuple_helpers_keep_the_length_check():
+    g = path(3)
+    f = EdgeLabeling(g, (2, 1))
+    assert f._replace(base=-1) == EdgeLabeling(g, (2, 1), -1)
+    assert EdgeLabeling._make(f) == f
+    with pytest.raises(IncompleteLabeling, match="1 labels for 2 edges"):
+        f._replace(labels=(1,))
+    with pytest.raises(IncompleteLabeling, match="3 labels for 2 edges"):
+        EdgeLabeling._make((g, (1, 2, 3), None))
+
+
 def test_vertex_sums_isolated_vertex_is_zero():
     g = build_graph(4, [(0, 1), (1, 2)])
     f = EdgeLabeling(g, (1, 2))
