@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from contextvars import ContextVar
 
 from . import families
 from .constructors import (
@@ -67,6 +68,58 @@ def _plan(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:
     return plan
 
 
+def _steps(g: Graph) -> tuple[list, list, list]:
+    """`_plan(g)` together with what the two pruning rules of `_assign` read.
+
+    Returns (plan, pruned, rules). `rules[t]` is None, or (forced,
+    pendant) for a step t at which `_assign` prunes before it tries a
+    label:
+
+    - forced sum: `forced` (else -1) is the first vertex that, with at
+      least two edges left, touches every unlabeled edge. Its final sum
+      is then its current sum plus the sum of the free labels, checked
+      and reserved at step t. Its last edge is the plan's last step, and
+      `pruned` is the plan without its check there.
+    - pendant remainder: `pendant` marks the first step after which every
+      unlabeled edge has a degree-1 endpoint. From there on each free
+      label becomes some leaf's final sum, so none may already be a
+      degree-1 sum. When both rules meet at one step, the reservation
+      comes first.
+    """
+    plan = _plan(g)
+    m = g.m
+    deg = g.degrees()
+    rules: list[tuple[int, bool] | None] = [None] * m
+    leafless = [t for t, (u, v, _, _) in enumerate(plan) if deg[u] > 1 and deg[v] > 1]
+    first_pendant = leafless[-1] + 1 if leafless else 0
+    if first_pendant < m:
+        rules[first_pendant] = (-1, True)
+    pruned = plan
+    unlab = list(deg)
+    for t, (u, v, _, _) in enumerate(plan[:-1]):
+        w = u if unlab[u] == m - t else v if unlab[v] == m - t else -1
+        if w >= 0:
+            rules[t] = (w, t == first_pendant)
+            x, y, ei, _ = plan[-1]
+            pruned = plan[:-1] + [(x, y, ei, (y if w == x else x,))]
+            break
+        unlab[u] -= 1
+        unlab[v] -= 1
+    return plan, pruned, rules
+
+
+# (graph, its `_steps`) for the duration of one `spectrum` call, so that
+# its strong search and every decide of its sweep share one plan while
+# `search_strong` and `decide` keep their public signatures. A context
+# variable, so that concurrent calls in other threads never see it.
+_SWEEP_STEPS: ContextVar[tuple[Graph, tuple] | None] = ContextVar("sweep_steps", default=None)
+
+
+def _steps_for(g: Graph) -> tuple[list, list, list]:
+    held = _SWEEP_STEPS.get()
+    return held[1] if held is not None and held[0] is g else _steps(g)
+
+
 def _assign(g: Graph, pool: list[int], rule: str) -> tuple[int, ...] | None:
     """Backtracking injection of pool labels onto edges under a sum rule.
 
@@ -78,16 +131,23 @@ def _assign(g: Graph, pool: list[int], rule: str) -> tuple[int, ...] | None:
     set shared by all vertices, or under "sdds" one set per degree. Under
     "strong" a label must also keep the sum between those of the final
     vertices of lower and of higher degree. The loop is written out once
-    per number of vertices a step finalizes (0, 1 or 2).
+    per number of vertices a step checks (0, 1 or 2).
+
+    Under "distinct" and "sdds" the forced-sum and pendant-remainder rules
+    of `_steps` also prune, before a step tries any label. Both cut only
+    subtrees that hold no labeling, so the first labeling found is the
+    same as without them.
     """
-    plan = _plan(g)
+    plan, pruned, rules = _steps_for(g)
     deg = g.degrees()
     m = g.m
     if rule == "sdds":
         by_degree = {d: set() for d in deg}
         seen = [by_degree[d] for d in deg]
+        leaf_sums = by_degree.get(1)
     else:
         seen = [set()] * g.n
+        leaf_sums = seen[0] if seen else None
     final = [v for v, d in enumerate(deg) if d == 0]
     for v in final:
         if 0 in seen[v]:
@@ -95,29 +155,30 @@ def _assign(g: Graph, pool: list[int], rule: str) -> tuple[int, ...] | None:
         seen[v].add(0)
     strong = rule == "strong"
     if strong:
-        # per step: each vertex it finalizes, with the final vertices of
-        # lower and of higher degree, whose sums its own must lie between
+        steps = plan
+        # per step: each vertex it finalizes that has final vertices of
+        # lower or of higher degree, with those vertices, whose sums its
+        # own must lie between; empty when the step has no such bound
         bounds = []
         for _, _, _, done in plan:
-            bounds.append(
-                [
-                    (
-                        w,
-                        [x for x in final if deg[x] < deg[w]],
-                        [x for x in final if deg[x] > deg[w]],
-                    )
-                    for w in done
-                ]
-            )
+            step = []
+            for w in done:
+                below = [x for x in final if deg[x] < deg[w]]
+                above = [x for x in final if deg[x] > deg[w]]
+                if below or above:
+                    step.append((w, below, above))
+            bounds.append(step)
             final += done
+    else:
+        steps = pruned
     sums = [0] * g.n
     out = [0] * m
     free = list(pool)  # unused labels, ascending
 
-    def window(t: int) -> tuple[int, int]:
-        """Index range of the free labels that keep step t in degree order."""
+    def window(bound: list) -> tuple[int, int]:
+        """Index range of the free labels that keep a step in degree order."""
         lo, hi = -math.inf, math.inf
-        for w, below, above in bounds[t]:
+        for w, below, above in bound:
             if below:
                 lo = max(lo, max(map(sums.__getitem__, below)) - sums[w])
             if above:
@@ -127,16 +188,20 @@ def _assign(g: Graph, pool: list[int], rule: str) -> tuple[int, ...] | None:
     def rec(t: int) -> bool:
         if t == m:
             return True
-        u, v, ei, done = plan[t]
+        u, v, ei, done = steps[t]
         su, sv = sums[u], sums[v]
-        first, stop = window(t) if strong else (0, m - t)
+        nxt = enter[t + 1]
+        if strong and bounds[t]:
+            first, stop = window(bounds[t])
+        else:
+            first, stop = 0, m - t
         if not done:
             for i in range(first, stop):
                 lab = free[i]
                 sums[u] = su + lab
                 sums[v] = sv + lab
                 del free[i]
-                if rec(t + 1):
+                if nxt(t + 1):
                     out[ei] = lab
                     return True
                 free.insert(i, lab)
@@ -154,7 +219,7 @@ def _assign(g: Graph, pool: list[int], rule: str) -> tuple[int, ...] | None:
                 sums[w] = s
                 sums[x] = sx + lab
                 del free[i]
-                if rec(t + 1):
+                if nxt(t + 1):
                     out[ei] = lab
                     return True
                 free.insert(i, lab)
@@ -179,7 +244,7 @@ def _assign(g: Graph, pool: list[int], rule: str) -> tuple[int, ...] | None:
                 sums[u] = a
                 sums[v] = b
                 del free[i]
-                if rec(t + 1):
+                if nxt(t + 1):
                     out[ei] = lab
                     return True
                 free.insert(i, lab)
@@ -189,7 +254,28 @@ def _assign(g: Graph, pool: list[int], rule: str) -> tuple[int, ...] | None:
         sums[v] = sv
         return False
 
-    return tuple(out) if rec(0) else None
+    def pruning(t: int) -> bool:
+        """`rec(t)` behind the step's forced-sum and pendant checks."""
+        w, pendant = rules[t]
+        if w < 0:
+            return leaf_sums.isdisjoint(free) and rec(t)
+        s = sums[w] + sum(free)
+        seen_w = seen[w]
+        if s in seen_w:
+            return False
+        seen_w.add(s)
+        if (not pendant or leaf_sums.isdisjoint(free)) and rec(t):
+            return True
+        seen_w.discard(s)
+        return False
+
+    # the function that enters each step
+    enter = [rec] * (m + 1)
+    if not strong:
+        for t, rule_t in enumerate(rules):
+            if rule_t is not None:
+                enter[t] = pruning
+    return tuple(out) if enter[0](0) else None
 
 
 def _check_budget(g: Graph, budget: int) -> None:
@@ -350,7 +436,17 @@ def spectrum(
     provable window are certified by the shift and negation arguments
     instead of brute force. The negation symmetry k <-> -(m+1)-k halves
     the brute-force work: only the upper half is decided, mirrors reuse it.
+    Every search of one call shares one edge plan.
     """
+    token = _SWEEP_STEPS.set((g, _steps(g))) if g.m <= budget else None
+    try:
+        return _sweep(g, window, budget)
+    finally:
+        if token is not None:
+            _SWEEP_STEPS.reset(token)
+
+
+def _sweep(g: Graph, window: tuple[int, int] | None, budget: int) -> SpectrumReport:
     m = g.m
     try:
         win = finite_window(g, budget)

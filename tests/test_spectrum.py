@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -227,6 +231,28 @@ def test_closed_form_stars():
     assert closed_form_spectrum("star", n=4) == frozenset({-3, -2})
     assert closed_form_spectrum("star", n=5) == frozenset({-3})
     assert closed_form_spectrum("star", n=6) == frozenset({-4, -3})
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_large_star_spectra_match_the_closed_form(n):
+    # in a child process with a timeout, so that a search that is back to
+    # near n! orders on the infeasible shifts fails instead of hanging
+    src = Path(spectrum.__code__.co_filename).resolve().parent.parent
+    code = (
+        "from antimagic.families import star\n"
+        "from antimagic.spectrum import closed_form_spectrum, spectrum\n"
+        f"report = spectrum(star({n}), budget={n})\n"
+        f"print(frozenset(report.excluded) == closed_form_spectrum('star', n={n}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 def test_closed_form_double_stars():
