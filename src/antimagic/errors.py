@@ -78,7 +78,7 @@ class EvenDegreeVertex(AntimagicError):
 
 
 class NoValidSigma(AntimagicError):
-    """No per-vertex edge choice leaves a trail-decomposable remainder."""
+    """The sigma search was given something other than a cross block."""
 
 
 class RangeSizeMismatch(AntimagicError):

@@ -33,7 +33,6 @@ from .errors import (
     IsolatedVertices,
     NoSddsFound,
     NotForest,
-    NoValidSigma,
 )
 from .graph import Graph
 from .labeling import EdgeLabeling, mirror, sdds_shift_threshold, shift_labeling
@@ -343,10 +342,7 @@ def finite_window(g: Graph, budget: int = DEFAULT_BUDGET) -> WindowResult:
     except (NotForest, HasK2Component, IsolatedVertices):
         pass
     if cert is None and all(d % 2 == 1 for d in deg):
-        try:
-            cert = construct_odd_degree(g)
-        except NoValidSigma:
-            pass
+        cert = construct_odd_degree(g)
     if cert is None:
         cert = search_sdds(g, budget)
     if cert is None:

@@ -143,45 +143,45 @@ def _euler_steps(
     return [(frm, eid, v) for v, eid, frm in popped if eid is not None]
 
 
-def _open_trail_split(edges: Sequence[Edge]) -> list[list[int]] | None:
-    """Split the edges into open trails ending at the odd-degree vertices.
+def _odd_vertices(comp: Sequence[Edge]) -> list[int]:
+    """The vertices of odd degree in an edge set, ascending."""
+    deg: dict[int, int] = {}
+    for u, v in comp:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    return sorted(v for v, dv in deg.items() if dv % 2 == 1)
 
-    Returns trail vertex sequences, or None when some component has no
-    odd-degree vertex (a closed component cannot be split without reusing
-    an endpoint).
+
+def _open_trails(comp: Sequence[Edge], odd: list[int]) -> list[list[int]]:
+    """Split a connected edge set into open trails ending at its odd vertices.
+
+    `odd` must be the component's odd-degree vertices, and not empty.
+    Returns trail vertex sequences.
     """
+    n_real = len(comp)
+    records: list[Edge] = list(comp)
+    records += [(odd[j], odd[j + 1]) for j in range(0, len(odd), 2)]
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for eid, (u, v) in enumerate(records):
+        adj.setdefault(u, []).append((v, eid))
+        adj.setdefault(v, []).append((u, eid))
+    for row in adj.values():
+        row.sort()
+    steps = _euler_steps(adj, odd[0], len(records))
+    cut = next(i for i, s in enumerate(steps) if s[1] >= n_real)
+    steps = steps[cut + 1 :] + steps[: cut + 1]
     trails: list[list[int]] = []
-    for comp in _edge_components(edges):
-        deg: dict[int, int] = {}
-        for u, v in comp:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        odd = sorted(v for v, dv in deg.items() if dv % 2 == 1)
-        if not odd:
-            return None
-        n_real = len(comp)
-        records: list[Edge] = list(comp)
-        records += [(odd[j], odd[j + 1]) for j in range(0, len(odd), 2)]
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in deg}
-        for eid, (u, v) in enumerate(records):
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-        for row in adj.values():
-            row.sort()
-        steps = _euler_steps(adj, odd[0], len(records))
-        cut = next(i for i, s in enumerate(steps) if s[1] >= n_real)
-        steps = steps[cut + 1 :] + steps[: cut + 1]
-        current: list[tuple[int, int, int]] = []
-        for frm, eid, to in steps:
-            if eid >= n_real:
-                if not current:
-                    raise ValueError("virtual edges ended up adjacent in the walk")
-                trails.append([current[0][0]] + [s[2] for s in current])
-                current = []
-            else:
-                current.append((frm, eid, to))
-        if current:
-            raise ValueError("walk did not end on a virtual edge")
+    current: list[tuple[int, int, int]] = []
+    for frm, eid, to in steps:
+        if eid >= n_real:
+            if not current:
+                raise ValueError("virtual edges ended up adjacent in the walk")
+            trails.append([current[0][0]] + [s[2] for s in current])
+            current = []
+        else:
+            current.append((frm, eid, to))
+    if current:
+        raise ValueError("walk did not end on a virtual edge")
     return trails
 
 
@@ -205,11 +205,20 @@ def _classify(seq: list[int], deep: set[int]) -> Trail:
 def find_sigma_and_trails(h: Graph, deep: Iterable[int]) -> TrailDecomposition:
     """Reserve one cross edge per deep vertex so the rest splits into trails.
 
-    Searches depth-first over per-vertex incident-edge choices in canonical
-    order; the first choice whose remainder decomposes wins. Raises
-    NoValidSigma when no choice works, or when the input did not come from
-    a level partition: an edge without exactly one deep endpoint, or a
-    deep vertex with no incident edge.
+    Each deep vertex first reserves its first incident edge in the order of
+    `h.edges`. The leftover edges split into open trails unless some leftover
+    component C is closed (every vertex even). Each closed C is repaired
+    once, in order of least vertex: its highest-id deep vertex v gives back
+    its reserved edge (v, w) and reserves its first edge (v, x) of C
+    instead. Then x turns odd and stays joined to C, because an all-even
+    component has no bridge; (v, w) joins w's component to C. So C stops
+    being closed, and w's component, if it was closed too, is merged into
+    C and needs no repair of its own. Whichever repaired component of a
+    merged group comes last keeps its x odd, as no later swap lands in it.
+
+    Raises NoValidSigma when the input is not a cross block: an edge
+    without exactly one deep endpoint, or a deep vertex with no incident
+    edge.
     """
     deep_sorted = sorted(set(deep))
     incident: dict[int, list[Edge]] = {v: [] for v in deep_sorted}
@@ -223,49 +232,36 @@ def find_sigma_and_trails(h: Graph, deep: Iterable[int]) -> TrailDecomposition:
         if not incident[v]:
             raise NoValidSigma(f"deep vertex {v} has no incident cross edge")
 
-    # Depth-first search with an explicit stack, so a level with thousands
-    # of vertices cannot exhaust the recursion limit: chosen[i] is the edge
-    # reserved for deep_sorted[i], and tried[i] is where the scan of its
-    # candidates resumes after a backtrack.
-    chosen: list[Edge] = []
-    chosen_set: set[Edge] = set()
-    tried = [0] * (len(deep_sorted) + 1)
-    split: list[list[int]] | None = None
-    idx = 0
-    while idx >= 0:
-        if idx == len(deep_sorted):
-            remainder = [e for e in h.edges if e not in chosen_set]
-            split = _open_trail_split(remainder)
-            if split is not None:
-                break
-        else:
-            options = incident[deep_sorted[idx]]
-            i = tried[idx]
-            while i < len(options) and options[i] in chosen_set:
-                i += 1
-            if i < len(options):
-                tried[idx] = i + 1
-                chosen.append(options[i])
-                chosen_set.add(options[i])
-                idx += 1
-                tried[idx] = 0
-                continue
-        # dead end (the remainder does not split, or no candidate is
-        # left here): undo the choice one vertex up
-        idx -= 1
-        if idx >= 0:
-            chosen_set.discard(chosen.pop())
+    def leftover(sigma: dict[int, Edge]) -> tuple[list[list[Edge]], list[list[int]]]:
+        reserved = set(sigma.values())
+        comps = _edge_components([e for e in h.edges if e not in reserved])
+        return comps, [_odd_vertices(comp) for comp in comps]
 
-    if split is None:
-        raise NoValidSigma(
-            f"no edge reservation for {deep_sorted} leaves an open-trail remainder"
-        )
+    sigma = {v: incident[v][0] for v in deep_sorted}
+    comps, odds = leftover(sigma)
+    if not all(odds):
+        comp_of = {x: i for i, comp in enumerate(comps) for e in comp for x in e}
+        opened: set[int | None] = set()
+        for i, comp in enumerate(comps):
+            if odds[i] or i in opened:
+                continue
+            v = max(a if a in incident else b for a, b in comp)
+            a, b = sigma[v]
+            opened.add(comp_of.get(b if a == v else a))
+            # v has even degree in C, and all its edges but sigma[v] lie in C
+            sigma[v] = incident[v][1]
+        comps, odds = leftover(sigma)
+
     deep_set = set(deep_sorted)
     dec = TrailDecomposition(
         cross=h,
         deep=tuple(deep_sorted),
-        sigma=tuple(zip(deep_sorted, chosen)),
-        trails=tuple(_classify(seq, deep_set) for seq in split),
+        sigma=tuple(sigma.items()),
+        trails=tuple(
+            _classify(seq, deep_set)
+            for comp, odd in zip(comps, odds)
+            for seq in _open_trails(comp, odd)
+        ),
     )
     dec.validate()
     return dec

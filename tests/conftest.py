@@ -33,6 +33,15 @@ def random_labeling(rng: random.Random, g: Graph, k: int) -> EdgeLabeling:
     return EdgeLabeling(g, tuple(labels), base=k)
 
 
+def k32_blocks(c: int) -> tuple[Graph, list[int]]:
+    """c disjoint K(3,2) cross blocks: shallow 5i..5i+2, deep 5i+3 and 5i+4.
+
+    The first-choice sigma strands a closed 4-cycle in every block.
+    """
+    edges = [(5 * i + s, 5 * i + d) for i in range(c) for s in range(3) for d in (3, 4)]
+    return build_graph(5 * c, edges), [5 * i + d for i in range(c) for d in (3, 4)]
+
+
 @pytest.fixture
 def forbid_components(monkeypatch):
     """Make every binding of graph.components fail when called."""

@@ -1,0 +1,245 @@
+"""Sigma selection against a verbatim copy of the search it replaced.
+
+`find_sigma_and_trails` picks sigma by first choice plus one repair pass.
+The depth-first search below is the code it replaced. On the family level
+blocks, uniform random blocks and disjoint K(3,2) blocks both must return
+the very same decomposition: the same sigma and the same trails in the
+same order. On a saturated random stream they may differ only at the
+listed draws, and both must be valid there.
+"""
+
+from __future__ import annotations
+
+import random
+from collections.abc import Iterable, Sequence
+
+from antimagic.errors import NoValidSigma
+from antimagic.families import complete, complete_bipartite, cube, petersen
+from antimagic.graph import Edge, Graph, build_graph, layer_subgraphs, level_partition
+from antimagic.trails import (
+    TrailDecomposition,
+    _classify,
+    _edge_components,
+    _euler_steps,
+    find_sigma_and_trails,
+)
+from conftest import k32_blocks
+
+# --- verbatim copy of the replaced search -----------------------------------
+
+
+def _open_trail_split(edges: Sequence[Edge]) -> list[list[int]] | None:
+    """Split the edges into open trails ending at the odd-degree vertices.
+
+    Returns trail vertex sequences, or None when some component has no
+    odd-degree vertex (a closed component cannot be split without reusing
+    an endpoint).
+    """
+    trails: list[list[int]] = []
+    for comp in _edge_components(edges):
+        deg: dict[int, int] = {}
+        for u, v in comp:
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
+        odd = sorted(v for v, dv in deg.items() if dv % 2 == 1)
+        if not odd:
+            return None
+        n_real = len(comp)
+        records: list[Edge] = list(comp)
+        records += [(odd[j], odd[j + 1]) for j in range(0, len(odd), 2)]
+        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in deg}
+        for eid, (u, v) in enumerate(records):
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+        for row in adj.values():
+            row.sort()
+        steps = _euler_steps(adj, odd[0], len(records))
+        cut = next(i for i, s in enumerate(steps) if s[1] >= n_real)
+        steps = steps[cut + 1 :] + steps[: cut + 1]
+        current: list[tuple[int, int, int]] = []
+        for frm, eid, to in steps:
+            if eid >= n_real:
+                if not current:
+                    raise ValueError("virtual edges ended up adjacent in the walk")
+                trails.append([current[0][0]] + [s[2] for s in current])
+                current = []
+            else:
+                current.append((frm, eid, to))
+        if current:
+            raise ValueError("walk did not end on a virtual edge")
+    return trails
+
+
+def seed_find_sigma_and_trails(h: Graph, deep: Iterable[int]) -> TrailDecomposition:
+    """Reserve one cross edge per deep vertex so the rest splits into trails.
+
+    Searches depth-first over per-vertex incident-edge choices in canonical
+    order; the first choice whose remainder decomposes wins. Raises
+    NoValidSigma when no choice works, or when the input did not come from
+    a level partition: an edge without exactly one deep endpoint, or a
+    deep vertex with no incident edge.
+    """
+    deep_sorted = sorted(set(deep))
+    incident: dict[int, list[Edge]] = {v: [] for v in deep_sorted}
+    for e in h.edges:
+        u, v = e
+        u_deep = u in incident
+        if u_deep == (v in incident):
+            raise NoValidSigma(f"edge {e} does not join a deep vertex to a shallow one")
+        incident[u if u_deep else v].append(e)
+    for v in deep_sorted:
+        if not incident[v]:
+            raise NoValidSigma(f"deep vertex {v} has no incident cross edge")
+
+    # Depth-first search with an explicit stack, so a level with thousands
+    # of vertices cannot exhaust the recursion limit: chosen[i] is the edge
+    # reserved for deep_sorted[i], and tried[i] is where the scan of its
+    # candidates resumes after a backtrack.
+    chosen: list[Edge] = []
+    chosen_set: set[Edge] = set()
+    tried = [0] * (len(deep_sorted) + 1)
+    split: list[list[int]] | None = None
+    idx = 0
+    while idx >= 0:
+        if idx == len(deep_sorted):
+            remainder = [e for e in h.edges if e not in chosen_set]
+            split = _open_trail_split(remainder)
+            if split is not None:
+                break
+        else:
+            options = incident[deep_sorted[idx]]
+            i = tried[idx]
+            while i < len(options) and options[i] in chosen_set:
+                i += 1
+            if i < len(options):
+                tried[idx] = i + 1
+                chosen.append(options[i])
+                chosen_set.add(options[i])
+                idx += 1
+                tried[idx] = 0
+                continue
+        # dead end (the remainder does not split, or no candidate is
+        # left here): undo the choice one vertex up
+        idx -= 1
+        if idx >= 0:
+            chosen_set.discard(chosen.pop())
+
+    if split is None:
+        raise NoValidSigma(
+            f"no edge reservation for {deep_sorted} leaves an open-trail remainder"
+        )
+    deep_set = set(deep_sorted)
+    dec = TrailDecomposition(
+        cross=h,
+        deep=tuple(deep_sorted),
+        sigma=tuple(zip(deep_sorted, chosen)),
+        trails=tuple(_classify(seq, deep_set) for seq in split),
+    )
+    dec.validate()
+    return dec
+
+
+# --- the comparison ----------------------------------------------------------
+
+
+def assert_same_decomposition(h: Graph, deep) -> TrailDecomposition:
+    dec = find_sigma_and_trails(h, deep)
+    assert dec == seed_find_sigma_and_trails(h, deep)
+    return dec
+
+
+def level_blocks(g: Graph):
+    """Every cross block of every breadth-first partition of g."""
+    for root in range(g.n):
+        p = level_partition(g, root)
+        for depth in range(1, p.d + 1):
+            yield layer_subgraphs(g, p, depth)[1], p.levels[depth]
+
+
+def test_same_decomposition_on_every_level_block_of_the_families():
+    graphs = [
+        complete(4),
+        complete_bipartite(3, 3),
+        complete_bipartite(3, 5),
+        complete(6),
+        complete(8),
+        cube(),
+        petersen(),
+    ]
+    for g in graphs:
+        for cross, deep in level_blocks(g):
+            assert_same_decomposition(cross, deep)
+
+
+def random_cross_block(rng: random.Random) -> tuple[Graph, list[int]]:
+    """A bipartite block whose every deep vertex has at least one edge."""
+    n = rng.randint(2, 10)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    cut = rng.randint(1, n - 1)
+    deep, shallow = ids[:cut], ids[cut:]
+    edges = [(v, rng.choice(shallow)) for v in deep]
+    pairs = [(v, s) for v in deep for s in shallow]
+    edges += rng.sample(pairs, rng.randint(0, len(pairs)))
+    return build_graph(n, sorted(set(edges))), deep
+
+
+def test_same_decomposition_on_random_cross_blocks():
+    rng = random.Random(20181)
+    for _ in range(2000):
+        assert_same_decomposition(*random_cross_block(rng))
+
+
+def saturated_cross_block(rng: random.Random) -> tuple[Graph, list[int]]:
+    """A block where the first choice often strands a closed component.
+
+    Deep vertices take three stubs plus one random edge, shallow vertices
+    two stubs each, so many shallow vertices have exactly two edges.
+    """
+    a = rng.randint(1, 4)
+    ids = list(range(5 * a))
+    rng.shuffle(ids)
+    deep, shallow = ids[: 2 * a], ids[2 * a :]
+    stubs = [s for s in shallow for _ in range(2)]
+    rng.shuffle(stubs)
+    edges = set(zip([v for v in deep for _ in range(3)], stubs))
+    edges |= {(v, rng.choice(shallow)) for v in deep}
+    return build_graph(5 * a, sorted(edges)), deep
+
+
+# Draws of the saturated stream where the two differ. There the search
+# backtracks a deep vertex outside the closed component (the highest-id
+# deep vertex of the whole block), and that choice happens to open the
+# component too; the repair moves the highest-id deep vertex inside it.
+# Both decompositions validate.
+SATURATED_DIFFERENCES = {1782, 1904}
+
+
+def test_saturated_blocks_differ_only_at_the_listed_draws():
+    rng = random.Random(20181)
+    differ = set()
+    for i in range(2000):
+        h, deep = saturated_cross_block(rng)
+        old = seed_find_sigma_and_trails(h, deep)
+        if find_sigma_and_trails(h, deep) != old:
+            old.validate()
+            differ.add(i)
+    assert differ == SATURATED_DIFFERENCES
+
+
+def test_a_repair_can_open_a_later_closed_component():
+    # first choices strand two 4-cycles, 0-6-8-7 and 2-4-3-5; moving 8 off
+    # (2, 8) gives that edge back, which joins the second cycle to the first
+    h = build_graph(9, [
+        (0, 1), (0, 6), (0, 7), (6, 8), (7, 8), (2, 8),
+        (2, 4), (3, 4), (2, 5), (3, 5), (1, 4), (1, 5),
+    ])
+    dec = assert_same_decomposition(h, [0, 4, 5, 8])
+    assert dict(dec.sigma) == {0: (0, 1), 4: (1, 4), 5: (1, 5), 8: (6, 8)}
+    assert len(dec.trails) == 1
+
+
+def test_same_decomposition_where_the_search_backtracks():
+    for c in range(1, 5):
+        dec = assert_same_decomposition(*k32_blocks(c))
+        assert len(dec.sigma) == 2 * c

@@ -6,16 +6,21 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from antimagic.constructors import construct_odd_degree
 from antimagic.errors import NoValidSigma, OddWMTrail, RangeSizeMismatch
 from antimagic.families import complete, complete_bipartite, cube
-from antimagic.graph import build_graph, layer_subgraphs, level_partition
+from antimagic.graph import build_graph, canonical_edge, layer_subgraphs, level_partition
+from antimagic.labeling import is_sdds
 from antimagic.trails import (
     Trail,
     TrailDecomposition,
     find_sigma_and_trails,
     label_trails,
 )
+from conftest import k32_blocks
 
 
 def cross_block(g, depth):
@@ -124,8 +129,8 @@ def test_no_sigma_when_deep_vertex_has_no_cross_edge():
 
 
 def test_no_sigma_when_every_remainder_is_eulerian():
-    # the only choice for vertex 3 strands a triangle, which has no
-    # odd-degree vertex and so cannot split into open trails
+    # the triangle's edges have no deep endpoint, so this is not a cross
+    # block and is rejected before any edge is reserved
     h = build_graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
     with pytest.raises(NoValidSigma):
         find_sigma_and_trails(h, {3})
@@ -172,3 +177,76 @@ def test_validate_rejects_broken_decompositions():
         ).validate()
     with pytest.raises(ValueError):
         TrailDecomposition(cross, (), (), ()).validate()
+
+
+# --- saturated blocks: the first choice strands closed components ----------
+
+
+def test_fifty_saturated_blocks_repeat_the_k33_sigma():
+    # every block strands the 4-cycle 5i+1, 5i+3, 5i+2, 5i+4 under the
+    # first choice; a depth-first search over the choices takes time
+    # exponential in the number of blocks here
+    h, deep = k32_blocks(50)
+    assert h.m == 300
+    dec = find_sigma_and_trails(h, deep)
+    want = {}
+    for i in range(50):
+        want[5 * i + 3] = (5 * i, 5 * i + 3)
+        want[5 * i + 4] = (5 * i + 1, 5 * i + 4)
+    assert dict(dec.sigma) == want
+
+
+def pairing_cubic(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """A simple cubic graph on n (even) vertices from the pairing model."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {canonical_edge(stubs[i], stubs[i + 1]) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return sorted(edges)
+
+
+def k32_fan(c: int) -> tuple[int, list[tuple[int, int]]]:
+    """A hub joined to c groups of three, each group complete to two deep
+    vertices: level 2 from the hub is c disjoint K(3,2) blocks. All
+    degrees are odd when c is."""
+    edges = []
+    for j in range(c):
+        shallow = [1 + 5 * j + s for s in range(3)]
+        edges += [(0, s) for s in shallow]
+        edges += [(s, 4 + 5 * j + d) for s in shallow for d in range(2)]
+    return 1 + 5 * c, edges
+
+
+@st.composite
+def odd_degree_graphs(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(["cubic", "k33", "fan"]), min_size=1, max_size=3)):
+        if kind == "cubic":
+            n = draw(st.sampled_from([4, 6, 8, 12, 20]))
+            parts.append((n, pairing_cubic(n, rng)))
+        elif kind == "k33":
+            parts.append((6, list(complete_bipartite(3, 3).edges)))
+        else:
+            parts.append(k32_fan(draw(st.sampled_from([3, 5]))))
+    n = sum(size for size, _ in parts)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges = []
+    base = 0
+    for size, part in parts:
+        edges += [(ids[base + u], ids[base + v]) for u, v in part]
+        base += size
+    return build_graph(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(odd_degree_graphs())
+def test_odd_degree_graphs_always_get_a_sigma(g):
+    assert is_sdds(construct_odd_degree(g))
+    for root in range(g.n):
+        p = level_partition(g, root)
+        for depth in range(1, p.d + 1):
+            _, cross = layer_subgraphs(g, p, depth)
+            find_sigma_and_trails(cross, p.levels[depth]).validate()
