@@ -74,7 +74,6 @@ from .spectrum import (
     search_strong,
     spectrum,
 )
-from .trails import TrailDecomposition, Trail, find_sigma_and_trails, label_trails
 
 __version__ = "0.1.0"
 
@@ -85,8 +84,6 @@ __all__ = [
     "EdgeLabeling",
     "Graph",
     "SpectrumReport",
-    "Trail",
-    "TrailDecomposition",
     "Verdict",
     "WindowResult",
     "build_graph",
@@ -112,12 +109,10 @@ __all__ = [
     "cycle",
     "decide",
     "double_star",
-    "find_sigma_and_trails",
     "finite_window",
     "format_edge_list",
     "is_sdds",
     "is_strongly_antimagic",
-    "label_trails",
     "labeling_to_certificate",
     "level_partition",
     "negate_labeling",

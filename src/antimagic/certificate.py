@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .errors import AntimagicError, CertificateError
+from .errors import CertificateError, InvalidGraph
 from .graph import Graph, _canonical_edges
 from .labeling import EdgeLabeling, Verdict, _shifted_verdict, vertex_sums
 
@@ -84,7 +84,7 @@ def certificate_to_labeling(doc: object) -> tuple[EdgeLabeling, int]:
         raise CertificateError(f"{len(labels)} labels for {len(edges)} edges")
     try:
         canon = _canonical_edges(n, edges)
-    except AntimagicError as exc:
+    except InvalidGraph as exc:
         raise CertificateError(f"bad graph in certificate: {exc}") from exc
     # one sort puts the edges in canonical order, and their labels with them
     order = sorted(range(len(canon)), key=canon.__getitem__)

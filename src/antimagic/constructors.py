@@ -10,23 +10,16 @@ when that shift is provably infeasible for the family.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
-from .errors import (
-    BadParameters,
-    EvenDegreeVertex,
-    HasK2Component,
-    IsolatedVertices,
-    KBelowThreshold,
-    NotForest,
-    PathTooShort,
-    TooFewLeaves,
-)
+from .errors import BadParameters, WrongGraphClass
 from .families import cp3, double_star, p5prime, path, star, two_p4, two_s3
 from .graph import (
     Edge,
     Graph,
     _component_vertices,
+    _root,
     layer_subgraphs,
     level_partition,
 )
@@ -47,11 +40,11 @@ def construct_forest_sdds(g: Graph) -> EdgeLabeling:
     _, trees = _component_vertices(g)
     for verts in trees:
         if len(verts) == 1:
-            raise IsolatedVertices(f"vertex {verts[0]} has no edges")
+            raise WrongGraphClass(f"vertex {verts[0]} has no edges")
         if len(verts) == 2:
-            raise HasK2Component(f"component {tuple(sorted(verts))} is a single edge")
+            raise WrongGraphClass(f"component {tuple(sorted(verts))} is a single edge")
         if sum(deg[v] for v in verts) != 2 * (len(verts) - 1):
-            raise NotForest(f"component {tuple(sorted(verts))} contains a cycle")
+            raise WrongGraphClass(f"component {tuple(sorted(verts))} contains a cycle")
     adj = g.adjacency()
     parent = [-1] * g.n
     up = [0] * g.n  # label of the edge from a vertex to its parent
@@ -79,11 +72,6 @@ def construct_forest_sdds(g: Graph) -> EdgeLabeling:
     )
 
 
-def _root(verts: list[int], deg: list[int]) -> int:
-    """Lowest-id vertex of maximum degree among `verts`."""
-    return min(verts, key=lambda v: (-deg[v], v))
-
-
 def construct_odd_degree(g: Graph) -> EdgeLabeling:
     """Same-degree-distinct-sum labeling for graphs whose degrees are all odd.
 
@@ -97,11 +85,11 @@ def construct_odd_degree(g: Graph) -> EdgeLabeling:
     deg = g.degrees()
     for v, d in enumerate(deg):
         if d % 2 == 0:
-            raise EvenDegreeVertex(f"vertex {v} has even degree {d}")
+            raise WrongGraphClass(f"vertex {v} has even degree {d}")
     _, comps = _component_vertices(g)
     for verts in comps:
         if len(verts) == 2:
-            raise HasK2Component(f"component {tuple(sorted(verts))} is a single edge")
+            raise WrongGraphClass(f"component {tuple(sorted(verts))} is a single edge")
     labels: dict[Edge, int] = {}
     nxt = 1
     for verts in comps:
@@ -134,7 +122,7 @@ def _strong_path_labels(n: int) -> list[int]:
 def construct_path_strong(n: int) -> EdgeLabeling:
     """Label a path with 1..n-1 so sums grow strictly with degree."""
     if n < 3:
-        raise PathTooShort(f"need at least three vertices, got {n}")
+        raise BadParameters(f"need at least three vertices, got {n}")
     return EdgeLabeling(path(n), tuple(_strong_path_labels(n)), base=0)
 
 
@@ -147,7 +135,7 @@ def construct_path_shifted(n: int, k: int) -> EdgeLabeling:
     lower is the mirror image of one of those.
     """
     if n < 6:
-        raise PathTooShort(f"the every-shift construction needs n >= 6, got {n}")
+        raise BadParameters(f"the every-shift construction needs n >= 6, got {n}")
 
     def upper(j: int) -> EdgeLabeling:
         if j >= 0:
@@ -173,7 +161,7 @@ def construct_star(leaves: int, k: int) -> EdgeLabeling | None:
     infeasible exactly when that sum lands inside the label range.
     """
     if leaves < 2:
-        raise TooFewLeaves(f"need at least two leaves, got {leaves}")
+        raise BadParameters(f"need at least two leaves, got {leaves}")
     center = leaves * k + leaves * (leaves + 1) // 2
     if k + 1 <= center <= k + leaves:
         return None
@@ -299,7 +287,7 @@ def construct_cp3(c: int, k: int) -> EdgeLabeling:
     """
     g = cp3(c)  # raises BadParameters unless c >= 1
     if k < c // 2:
-        raise KBelowThreshold(f"direct construction needs k >= {c // 2}, got {k}")
+        raise BadParameters(f"direct construction needs k >= {c // 2}, got {k}")
     t = k - c // 2
     mapping: dict[Edge, int] = {}
     for i, (small, large) in enumerate(_cp3_pairs(c)):
@@ -365,8 +353,10 @@ def p3_threshold(m: int) -> int:
     """
     if m < 0:
         raise BadParameters(f"edge count cannot be negative, got {m}")
-    c = m + 1
-    while True:
-        if (1 + m + 2 * c) * (m + 2 * c) < (1 + m + 5 * c) * (c - m):
-            return c
+    # expanded, the inequality reads c^2 - (8m+1)c - 2m(m+1) > 0, false
+    # for every c from 0 up to its positive root: count up from there
+    b = 8 * m + 1
+    c = (b + math.isqrt(b * b + 8 * m * (m + 1))) // 2
+    while (1 + m + 2 * c) * (m + 2 * c) >= (1 + m + 5 * c) * (c - m):
         c += 1
+    return c

@@ -1,4 +1,4 @@
-"""Exception types raised across the toolkit.
+"""Exception types raised across the toolkit, one per kind of bad input.
 
 Everything derives from AntimagicError so callers can catch toolkit
 failures with a single except clause. Infeasibility of a labeling
@@ -11,101 +11,40 @@ class AntimagicError(Exception):
     """Base class for all toolkit errors."""
 
 
-# -- graph construction and queries ----------------------------------------
-
-class LoopEdge(AntimagicError):
-    """An edge joins a vertex to itself."""
-
-
-class DuplicateEdge(AntimagicError):
-    """The same unordered vertex pair appears twice."""
-
-
-class EndpointOutOfRange(AntimagicError):
-    """An edge endpoint is not a vertex id in [0, n)."""
-
-
-class RootOutOfRange(AntimagicError):
-    """Requested breadth-first root is not a vertex of the graph."""
-
-
-class LevelOutOfRange(AntimagicError):
-    """Requested layer index has no cross block (must be 1..d)."""
+class InvalidGraph(AntimagicError):
+    """An edge list is not a simple graph on vertices 0..n-1: a loop, a
+    repeated vertex pair, or a vertex count or endpoint out of range."""
 
 
 class ParseError(AntimagicError):
     """Malformed edge-list text; message names the offending line."""
 
 
-# -- labelings ---------------------------------------------------------------
-
-class IncompleteLabeling(AntimagicError):
-    """A total labeling was required but some edge has no label."""
-
-
-class UnlabeledIncidentEdge(AntimagicError):
-    """A partial vertex sum touched an edge without a label."""
-
-
-class LabelsNotOneToM(AntimagicError):
-    """Operation requires labels to be a permutation of 1..m."""
-
-
-class EmptyGraph(AntimagicError):
-    """Operation is undefined on a graph with no edges."""
-
-
 class CertificateError(AntimagicError):
     """A labeling certificate file is malformed."""
 
 
-# -- constructors ------------------------------------------------------------
-
-class NotForest(AntimagicError):
-    """Input contains a cycle where a forest was required."""
-
-
-class HasK2Component(AntimagicError):
-    """A single-edge component makes distinct same-degree sums impossible."""
-
-
-class IsolatedVertices(AntimagicError):
-    """Two or more degree-0 vertices both carry the sum 0."""
-
-
-class EvenDegreeVertex(AntimagicError):
-    """Construction requires every vertex degree to be odd."""
-
-
-class NoValidSigma(AntimagicError):
-    """The sigma search was given something other than a cross block."""
-
-
-class RangeSizeMismatch(AntimagicError):
-    """Label range size differs from the number of trail edges."""
-
-
-class OddWMTrail(AntimagicError):
-    """A trail with both endpoints on one side must have even length."""
-
-
-class PathTooShort(AntimagicError):
-    """Path construction needs more vertices than were given."""
-
-
-class TooFewLeaves(AntimagicError):
-    """Star construction needs at least two leaves."""
-
-
 class BadParameters(AntimagicError):
-    """Family parameters are out of the constructible range."""
+    """A parameter is out of range: a family size, a shift below a
+    construction's threshold, a root or layer index, or a graph with no
+    vertices or edges where the operation needs some."""
 
 
-class KBelowThreshold(AntimagicError):
-    """Requested base is below the direct construction threshold."""
+class InvalidLabeling(AntimagicError):
+    """A labeling does not fit its use: labels missing or miscounted,
+    not a permutation of 1..m, or an edge not incident where required."""
 
 
-# -- spectrum engine ---------------------------------------------------------
+class WrongGraphClass(AntimagicError):
+    """A construction was given a graph outside its class: a cycle where a
+    forest is needed, a single-edge component, isolated vertices, or an
+    even degree where every degree must be odd."""
+
+
+class InvalidTrails(AntimagicError):
+    """A sigma choice, trail decomposition or trail label block breaks the
+    structure the odd-degree construction relies on."""
+
 
 class BudgetExceeded(AntimagicError):
     """Graph is too large for exhaustive search under the given budget."""

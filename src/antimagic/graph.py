@@ -10,15 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from .errors import (
-    DuplicateEdge,
-    EmptyGraph,
-    EndpointOutOfRange,
-    LevelOutOfRange,
-    LoopEdge,
-    ParseError,
-    RootOutOfRange,
-)
+from .errors import BadParameters, InvalidGraph, ParseError
 
 Edge = tuple[int, int]
 
@@ -100,7 +92,7 @@ def _canonical_edges(n: int, edges) -> list[Edge]:
     run, so the first faulty edge in input order raises as it always has.
     """
     if n < 0:
-        raise EndpointOutOfRange(f"vertex count {n} is negative")
+        raise InvalidGraph(f"vertex count {n} is negative")
     if isinstance(edges, (list, tuple)):
         try:
             # a loop or an endpoint out of range canonicalizes to None
@@ -117,12 +109,12 @@ def _canonical_edges(n: int, edges) -> list[Edge]:
     seen: set[Edge] = set()
     for u, v in edges:
         if u == v:
-            raise LoopEdge(f"edge ({u}, {v}) is a loop")
+            raise InvalidGraph(f"edge ({u}, {v}) is a loop")
         if not (0 <= u < n and 0 <= v < n):
-            raise EndpointOutOfRange(f"edge ({u}, {v}) leaves vertex range [0, {n})")
+            raise InvalidGraph(f"edge ({u}, {v}) leaves vertex range [0, {n})")
         e = canonical_edge(u, v)
         if e in seen:
-            raise DuplicateEdge(f"edge {e} appears more than once")
+            raise InvalidGraph(f"edge {e} appears more than once")
         seen.add(e)
         canon.append(e)
     return canon
@@ -196,10 +188,15 @@ class LevelPartition(namedtuple("LevelPartition", "root levels")):
 def default_root(g: Graph) -> int:
     """Lowest-id vertex of maximum degree."""
     if g.n == 0:
-        raise EmptyGraph("a graph with no vertices has no root")
-    deg = g.degrees()
-    best = max(deg)
-    return deg.index(best)
+        raise BadParameters("a graph with no vertices has no root")
+    return _root(range(g.n), g.degrees())
+
+
+def _root(verts, deg: list[int]) -> int:
+    """Lowest-id vertex of maximum degree among `verts`: the root of every
+    breadth-first layering the constructors take."""
+    top = max(map(deg.__getitem__, verts))
+    return min(v for v in verts if deg[v] == top)
 
 
 def level_partition(g: Graph, root: int | None = None) -> LevelPartition:
@@ -210,7 +207,7 @@ def level_partition(g: Graph, root: int | None = None) -> LevelPartition:
     if root is None:
         root = default_root(g)
     if not (0 <= root < g.n):
-        raise RootOutOfRange(f"root {root} is not a vertex of a {g.n}-vertex graph")
+        raise BadParameters(f"root {root} is not a vertex of a {g.n}-vertex graph")
     adj = g.adjacency()
     seen = {root}
     layers = [[root]]
@@ -233,7 +230,7 @@ def layer_subgraphs(g: Graph, p: LevelPartition, i: int) -> tuple[Graph, Graph]:
     Both are returned on the full vertex range of g so ids stay stable.
     """
     if not (1 <= i <= p.d):
-        raise LevelOutOfRange(f"layer {i} out of range 1..{p.d}")
+        raise BadParameters(f"layer {i} out of range 1..{p.d}")
     here = set(p.levels[i])
     above = set(p.levels[i - 1])
     adj = g.adjacency()
@@ -289,7 +286,7 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u, v))
     try:
         return build_graph(n, edges)
-    except (LoopEdge, DuplicateEdge, EndpointOutOfRange) as exc:
+    except InvalidGraph as exc:
         raise ParseError(f"invalid edge list: {exc}") from exc
 
 

@@ -10,14 +10,9 @@ recomputed from the labels.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
-from .errors import (
-    EmptyGraph,
-    IncompleteLabeling,
-    LabelsNotOneToM,
-    UnlabeledIncidentEdge,
-)
+from .errors import BadParameters, InvalidLabeling
 from .graph import Edge, Graph, canonical_edge
 
 
@@ -31,7 +26,7 @@ class EdgeLabeling(namedtuple("EdgeLabeling", "graph labels base")):
         cls, graph: Graph, labels: tuple[int, ...], base: int | None = None
     ) -> EdgeLabeling:
         if len(labels) != graph.m:
-            raise IncompleteLabeling(f"{len(labels)} labels for {graph.m} edges")
+            raise InvalidLabeling(f"{len(labels)} labels for {graph.m} edges")
         return tuple.__new__(cls, (graph, labels, base))
 
     @classmethod
@@ -47,7 +42,7 @@ class EdgeLabeling(namedtuple("EdgeLabeling", "graph labels base")):
         labels = []
         for e in graph.edges:
             if e not in mapping:
-                raise IncompleteLabeling(f"edge {e} has no label")
+                raise InvalidLabeling(f"edge {e} has no label")
             labels.append(mapping[e])
         return cls(graph, tuple(labels), base)
 
@@ -140,21 +135,35 @@ def _shifted_verdict(f: EdgeLabeling, k: int, sums: list[int] | None = None) -> 
     if sums is None:
         sums = _leading_sums(f, min(g.n, 2 * g.m + 2))
     if len(set(sums)) < len(sums):
-        first_with: dict[int, int] = {}
-        for v, s in enumerate(sums):
-            if s in first_with:
-                u = first_with[s]
-                return Verdict.reject(
-                    "vertex-sum-collision",
-                    (u, v, s),
-                    f"vertices {u} and {v} both sum to {s}",
-                )
-            first_with[s] = v
+        return _sum_collision(sums)
     return Verdict.accept()
 
 
+def _first_repeat(keys: Iterable) -> tuple[int, int] | None:
+    """(u, v) for the first vertex v whose key an earlier vertex u holds.
+
+    Callers test first, with one set, that some key repeats, so an
+    accepted labeling never pays for this scan.
+    """
+    first_with: dict = {}
+    for v, key in enumerate(keys):
+        u = first_with.setdefault(key, v)
+        if u != v:
+            return u, v
+    return None
+
+
+def _sum_collision(sums: Sequence[int]) -> Verdict:
+    """The rejection naming the first two vertices with equal sums."""
+    u, v = _first_repeat(sums)
+    s = sums[v]
+    return Verdict.reject(
+        "vertex-sum-collision", (u, v, s), f"vertices {u} and {v} both sum to {s}"
+    )
+
+
 def _require_one_to_m(f: EdgeLabeling) -> None:
-    """Raise LabelsNotOneToM unless the labels are a permutation of 1..m.
+    """Raise InvalidLabeling unless the labels are a permutation of 1..m.
 
     m labels that cover 1..m are a permutation of it, so one set accepts;
     the sort runs only to name the labels in the message, or when they
@@ -167,7 +176,7 @@ def _require_one_to_m(f: EdgeLabeling) -> None:
     except TypeError:
         pass
     if sorted(f.labels) != list(range(1, m + 1)):
-        raise LabelsNotOneToM(
+        raise InvalidLabeling(
             f"labels must be a permutation of 1..{m}, got {sorted(f.labels)}"
         )
 
@@ -178,17 +187,13 @@ def is_sdds(f: EdgeLabeling) -> Verdict:
     sums = vertex_sums(f)
     deg = f.graph.degrees()
     if len(set(zip(deg, sums))) < len(sums):
-        first_with: dict[tuple[int, int], int] = {}
-        for v, s in enumerate(sums):
-            key = (deg[v], s)
-            if key in first_with:
-                u = first_with[key]
-                return Verdict.reject(
-                    "same-degree-sum-collision",
-                    (u, v, s),
-                    f"degree-{deg[v]} vertices {u} and {v} both sum to {s}",
-                )
-            first_with[key] = v
+        u, v = _first_repeat(zip(deg, sums))
+        s = sums[v]
+        return Verdict.reject(
+            "same-degree-sum-collision",
+            (u, v, s),
+            f"degree-{deg[v]} vertices {u} and {v} both sum to {s}",
+        )
     return Verdict.accept()
 
 
@@ -201,31 +206,17 @@ def is_strongly_antimagic(f: EdgeLabeling) -> Verdict:
     _require_one_to_m(f)
     sums = vertex_sums(f)
     deg = f.graph.degrees()
-    first_with: dict[int, int] = {}
-    for v, s in enumerate(sums):
-        if s in first_with:
-            u = first_with[s]
-            return Verdict.reject(
-                "vertex-sum-collision",
-                (u, v, s),
-                f"vertices {u} and {v} both sum to {s}",
-            )
-        first_with[s] = v
+    if len(set(sums)) < len(sums):
+        return _sum_collision(sums)
     for u in range(f.graph.n):
         for v in range(u + 1, f.graph.n):
-            if deg[u] > deg[v] and sums[u] < sums[v]:
+            if (deg[u] - deg[v]) * (sums[u] - sums[v]) < 0:
+                hi, lo = (u, v) if deg[u] > deg[v] else (v, u)
                 return Verdict.reject(
                     "degree-order-violation",
-                    (u, v),
-                    f"deg({u})={deg[u]} > deg({v})={deg[v]} "
-                    f"but sum {sums[u]} < {sums[v]}",
-                )
-            if deg[v] > deg[u] and sums[v] < sums[u]:
-                return Verdict.reject(
-                    "degree-order-violation",
-                    (v, u),
-                    f"deg({v})={deg[v]} > deg({u})={deg[u]} "
-                    f"but sum {sums[v]} < {sums[u]}",
+                    (hi, lo),
+                    f"deg({hi})={deg[hi]} > deg({lo})={deg[lo]} "
+                    f"but sum {sums[hi]} < {sums[lo]}",
                 )
     return Verdict.accept()
 
@@ -265,7 +256,7 @@ def sdds_shift_threshold(g: Graph) -> int:
     """Smallest shift guaranteed to turn same-degree-distinct sums into
     all-distinct sums: (m - 1) * (max degree - 1)."""
     if g.m == 0:
-        raise EmptyGraph("threshold undefined for a graph with no edges")
+        raise BadParameters("threshold undefined for a graph with no edges")
     return (g.m - 1) * (g.max_degree() - 1)
 
 
@@ -278,15 +269,15 @@ def partial_vertex_sum(
     """
     excluded = canonical_edge(*excluded)
     if v not in excluded:
-        raise ValueError(f"excluded edge {excluded} is not incident to vertex {v}")
+        raise InvalidLabeling(f"excluded edge {excluded} is not incident to vertex {v}")
     if not (0 <= v < g.n):
-        raise ValueError(f"{v} is not a vertex of a {g.n}-vertex graph")
+        raise InvalidLabeling(f"{v} is not a vertex of a {g.n}-vertex graph")
     total = 0
     for w in g.adjacency()[v]:
         e = canonical_edge(v, w)
         if e == excluded:
             continue
         if e not in labels:
-            raise UnlabeledIncidentEdge(f"edge {e} at vertex {v} has no label yet")
+            raise InvalidLabeling(f"edge {e} at vertex {v} has no label yet")
         total += labels[e]
     return total

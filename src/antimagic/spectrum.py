@@ -26,14 +26,7 @@ from .constructors import (
     construct_two_p4,
     construct_two_s3,
 )
-from .errors import (
-    BadParameters,
-    BudgetExceeded,
-    HasK2Component,
-    IsolatedVertices,
-    NoSddsFound,
-    NotForest,
-)
+from .errors import BadParameters, BudgetExceeded, NoSddsFound, WrongGraphClass
 from .graph import Graph
 from .labeling import EdgeLabeling, mirror, sdds_shift_threshold, shift_labeling
 
@@ -277,32 +270,30 @@ def _assign(g: Graph, pool: list[int], rule: str) -> tuple[int, ...] | None:
     return tuple(out) if enter[0](0) else None
 
 
-def _check_budget(g: Graph, budget: int) -> None:
+def _search(g: Graph, budget: int, k: int, rule: str) -> EdgeLabeling | None:
+    """A k-shifted labeling under `rule` from `_assign`, or None; raises
+    BudgetExceeded past `budget` edges."""
     if g.m > budget:
         raise BudgetExceeded(
             f"{g.m} edges exceeds the exhaustive-search budget of {budget}"
         )
+    found = _assign(g, list(range(k + 1, k + g.m + 1)), rule)
+    return None if found is None else EdgeLabeling(g, found, base=k)
 
 
 def decide(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> EdgeLabeling | None:
     """Exhaustively decide shift k: a labeling, or None when none exists."""
-    _check_budget(g, budget)
-    found = _assign(g, list(range(k + 1, k + g.m + 1)), "distinct")
-    return None if found is None else EdgeLabeling(g, found, base=k)
+    return _search(g, budget, k, "distinct")
 
 
 def search_sdds(g: Graph, budget: int = DEFAULT_BUDGET) -> EdgeLabeling | None:
     """Exhaustively search for a same-degree-distinct-sum labeling."""
-    _check_budget(g, budget)
-    found = _assign(g, list(range(1, g.m + 1)), "sdds")
-    return None if found is None else EdgeLabeling(g, found, base=0)
+    return _search(g, budget, 0, "sdds")
 
 
 def search_strong(g: Graph, budget: int = DEFAULT_BUDGET) -> EdgeLabeling | None:
     """Exhaustively search for a degree-ordered distinct-sum labeling."""
-    _check_budget(g, budget)
-    found = _assign(g, list(range(1, g.m + 1)), "strong")
-    return None if found is None else EdgeLabeling(g, found, base=0)
+    return _search(g, budget, 0, "strong")
 
 
 class WindowResult(namedtuple("WindowResult", "lo hi method certificate")):
@@ -336,11 +327,10 @@ def finite_window(g: Graph, budget: int = DEFAULT_BUDGET) -> WindowResult:
         cert = search_strong(g, budget)
         if cert is not None:
             return WindowResult(-g.m, -1, "strong", cert)
-    cert = None
     try:
         cert = construct_forest_sdds(g)
-    except (NotForest, HasK2Component, IsolatedVertices):
-        pass
+    except WrongGraphClass:
+        cert = None
     if cert is None and all(d % 2 == 1 for d in deg):
         cert = construct_odd_degree(g)
     if cert is None:

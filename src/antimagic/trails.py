@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
-from .errors import NoValidSigma, OddWMTrail, RangeSizeMismatch
+from .errors import InvalidTrails
 from .graph import Edge, Graph, canonical_edge
 
 
@@ -52,44 +52,42 @@ class TrailDecomposition(namedtuple("TrailDecomposition", "cross deep sigma trai
     __slots__ = ()
 
     def validate(self) -> None:
-        """Raise ValueError unless every structural invariant holds."""
+        """Raise InvalidTrails unless every structural invariant holds."""
         deep = set(self.deep)
         sigma_edges: list[Edge] = []
         for v, e in self.sigma:
             if v not in e:
-                raise ValueError(f"sigma edge {e} is not incident to vertex {v}")
+                raise InvalidTrails(f"sigma edge {e} is not incident to vertex {v}")
             if v not in deep:
-                raise ValueError(f"sigma key {v} is not a deep-side vertex")
+                raise InvalidTrails(f"sigma key {v} is not a deep-side vertex")
             sigma_edges.append(e)
         if len(set(sigma_edges)) != len(sigma_edges):
-            raise ValueError("sigma is not injective")
+            raise InvalidTrails("sigma is not injective")
         if sorted(v for v, _ in self.sigma) != sorted(deep):
-            raise ValueError("sigma must choose exactly one edge per deep vertex")
+            raise InvalidTrails("sigma must choose exactly one edge per deep vertex")
 
         covered: list[Edge] = list(sigma_edges)
         ends: list[int] = []
         for t in self.trails:
             if len(t.vertices) < 2:
-                raise ValueError("trail with no edges")
+                raise InvalidTrails("trail with no edges")
             for a, b in zip(t.vertices, t.vertices[1:]):
                 covered.append(canonical_edge(a, b))
             first, last = t.vertices[0], t.vertices[-1]
             if first == last:
-                raise ValueError(f"trail {t.vertices} is closed")
+                raise InvalidTrails(f"trail {t.vertices} is closed")
             ends.extend((first, last))
-            expected = {(True, True): "M", (False, False): "W"}.get(
-                (first in deep, last in deep), "N"
-            )
+            expected = _kind(first, last, deep)
             if t.kind != expected:
-                raise ValueError(
+                raise InvalidTrails(
                     f"trail {t.vertices} typed {t.kind}, endpoints say {expected}"
                 )
         if len(set(ends)) != len(ends):
-            raise ValueError("two trails share an initial or terminal vertex")
+            raise InvalidTrails("two trails share an initial or terminal vertex")
         if len(set(covered)) != len(covered):
-            raise ValueError("an edge is covered twice")
+            raise InvalidTrails("an edge is covered twice")
         if set(covered) != set(self.cross.edges):
-            raise ValueError("sigma plus trails do not partition the cross edges")
+            raise InvalidTrails("sigma plus trails do not partition the cross edges")
 
 
 def _edge_components(edges: Sequence[Edge]) -> list[list[Edge]]:
@@ -175,31 +173,26 @@ def _open_trails(comp: Sequence[Edge], odd: list[int]) -> list[list[int]]:
     for frm, eid, to in steps:
         if eid >= n_real:
             if not current:
-                raise ValueError("virtual edges ended up adjacent in the walk")
+                raise InvalidTrails("virtual edges ended up adjacent in the walk")
             trails.append([current[0][0]] + [s[2] for s in current])
             current = []
         else:
             current.append((frm, eid, to))
     if current:
-        raise ValueError("walk did not end on a virtual edge")
+        raise InvalidTrails("walk did not end on a virtual edge")
     return trails
 
 
+def _kind(first: int, last: int, deep: set[int]) -> str:
+    """The kind of a trail with these two ends."""
+    return {(True, True): "M", (False, False): "W"}.get((first in deep, last in deep), "N")
+
+
 def _classify(seq: list[int], deep: set[int]) -> Trail:
-    first_in = seq[0] in deep
-    last_in = seq[-1] in deep
-    if first_in and last_in:
-        kind = "M"
-    elif not first_in and not last_in:
-        kind = "W"
-    else:
-        kind = "N"
-    if kind in ("W", "M"):
-        if seq[0] > seq[-1]:
-            seq = list(reversed(seq))
-    elif not first_in:
-        seq = list(reversed(seq))  # N trails start on the deep side
-    return Trail(tuple(seq), kind)
+    kind = _kind(seq[0], seq[-1], deep)
+    # N trails start on the deep side, W and M trails at their smaller end
+    flip = seq[0] not in deep if kind == "N" else seq[0] > seq[-1]
+    return Trail(tuple(seq[::-1] if flip else seq), kind)
 
 
 def find_sigma_and_trails(h: Graph, deep: Iterable[int]) -> TrailDecomposition:
@@ -216,7 +209,7 @@ def find_sigma_and_trails(h: Graph, deep: Iterable[int]) -> TrailDecomposition:
     C and needs no repair of its own. Whichever repaired component of a
     merged group comes last keeps its x odd, as no later swap lands in it.
 
-    Raises NoValidSigma when the input is not a cross block: an edge
+    Raises InvalidTrails when the input is not a cross block: an edge
     without exactly one deep endpoint, or a deep vertex with no incident
     edge.
     """
@@ -226,11 +219,11 @@ def find_sigma_and_trails(h: Graph, deep: Iterable[int]) -> TrailDecomposition:
         u, v = e
         u_deep = u in incident
         if u_deep == (v in incident):
-            raise NoValidSigma(f"edge {e} does not join a deep vertex to a shallow one")
+            raise InvalidTrails(f"edge {e} does not join a deep vertex to a shallow one")
         incident[u if u_deep else v].append(e)
     for v in deep_sorted:
         if not incident[v]:
-            raise NoValidSigma(f"deep vertex {v} has no incident cross edge")
+            raise InvalidTrails(f"deep vertex {v} has no incident cross edge")
 
     def leftover(sigma: dict[int, Edge]) -> tuple[list[list[Edge]], list[list[int]]]:
         reserved = set(sigma.values())
@@ -282,13 +275,13 @@ def label_trails(dec: TrailDecomposition, labels: Sequence[int] | range) -> dict
     """
     pool = list(labels)
     if pool != sorted(pool) or (pool and pool != list(range(pool[0], pool[-1] + 1))):
-        raise RangeSizeMismatch(f"labels must form an ascending run, got {pool}")
+        raise InvalidTrails(f"labels must form an ascending run, got {pool}")
     total = sum(t.edge_count for t in dec.trails)
     if total != len(pool):
-        raise RangeSizeMismatch(f"{len(pool)} labels for {total} trail edges")
+        raise InvalidTrails(f"{len(pool)} labels for {total} trail edges")
     for t in dec.trails:
         if t.kind in ("W", "M") and t.edge_count % 2 == 1:
-            raise OddWMTrail(f"{t.kind} trail {t.vertices} has odd length")
+            raise InvalidTrails(f"{t.kind} trail {t.vertices} has odd length")
     if not pool:
         return {}
 
@@ -340,7 +333,7 @@ def label_trails(dec: TrailDecomposition, labels: Sequence[int] | range) -> dict
         labeled.append(last)
 
     if lo_used + hi_used != len(pool):
-        raise RangeSizeMismatch("label block not fully consumed")
+        raise InvalidTrails("label block not fully consumed")
     _check_pair_sums(labeled, deep, out, s, l)
     return out
 
@@ -357,7 +350,7 @@ def _check_pair_sums(
             pair = out[es[j]] + out[es[j + 1]]
             allowed = (s + l, s + l - 1) if w in deep else (s + l, s + l + 1)
             if pair not in allowed:
-                raise ValueError(
+                raise InvalidTrails(
                     f"internal vertex {w} of trail {t.vertices} sees pair sum "
                     f"{pair}, expected one of {allowed}"
                 )

@@ -16,11 +16,7 @@ from antimagic.certificate import (
     labeling_to_certificate,
 )
 from antimagic.constructors import construct_path_shifted
-from antimagic.errors import (
-    AntimagicError,
-    CertificateError,
-    LabelsNotOneToM,
-)
+from antimagic.errors import AntimagicError, CertificateError, InvalidLabeling
 from antimagic.families import path
 from antimagic.graph import canonical_edge
 from antimagic.labeling import (
@@ -121,6 +117,7 @@ def test_huge_vertex_count_is_rejected_from_the_edges(
 
 
 # --- the one-pass checks against verbatim copies of the code they replaced --
+# (only their exception classes renamed to the ones that replaced them)
 
 
 def seed_leading_sums(f, count):
@@ -173,7 +170,7 @@ def seed_verify_shifted(f, k):
 
 def seed_is_sdds(f):
     if sorted(f.labels) != list(range(1, f.graph.m + 1)):
-        raise LabelsNotOneToM(
+        raise InvalidLabeling(
             f"labels must be a permutation of 1..{f.graph.m}, got {sorted(f.labels)}"
         )
     sums = seed_vertex_sums(f)
@@ -364,7 +361,7 @@ def test_checks_match_the_code_they_replaced(case, tampering, rng):
 
 def seed_require_one_to_m(f):
     if sorted(f.labels) != list(range(1, f.graph.m + 1)):
-        raise LabelsNotOneToM(
+        raise InvalidLabeling(
             f"labels must be a permutation of 1..{f.graph.m}, got {sorted(f.labels)}"
         )
 

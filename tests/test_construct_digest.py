@@ -16,12 +16,7 @@ import re
 import pytest
 
 from antimagic.constructors import construct_forest_sdds, construct_odd_degree
-from antimagic.errors import (
-    EvenDegreeVertex,
-    HasK2Component,
-    IsolatedVertices,
-    NotForest,
-)
+from antimagic.errors import WrongGraphClass
 from antimagic.families import path, star
 from antimagic.graph import build_graph
 from antimagic.labeling import is_sdds
@@ -124,19 +119,24 @@ def raises_exactly(exc, message):
     "n, edges, exc, message",
     [
         # a cycle on {0, 2, 4}, then a single edge {1, 6} and isolated 3, 5
-        (7, [(0, 2), (2, 4), (0, 4), (1, 6)], NotForest, "component (0, 2, 4) contains a cycle"),
+        (
+            7,
+            [(0, 2), (2, 4), (0, 4), (1, 6)],
+            WrongGraphClass,
+            "component (0, 2, 4) contains a cycle",
+        ),
         # a path on {0, 5, 7}, then the single edge {1, 6}, then a cycle on {2, 3, 4}
         (
             8,
             [(0, 5), (5, 7), (1, 6), (2, 3), (3, 4), (2, 4)],
-            HasK2Component,
+            WrongGraphClass,
             "component (1, 6) is a single edge",
         ),
         # a path on {0, 1, 5}, then isolated 2, the single edge {3, 7}, a cycle on {4, 6, 8}
         (
             9,
             [(0, 1), (1, 5), (3, 7), (4, 6), (6, 8), (4, 8)],
-            IsolatedVertices,
+            WrongGraphClass,
             "vertex 2 has no edges",
         ),
     ],
@@ -150,12 +150,12 @@ def test_forest_first_faulty_component_wins(n, edges, exc, message):
     "n, edges, exc, message",
     [
         # the single edge {0, 3} is the first component, but degrees are checked first
-        (5, [(0, 3), (1, 2), (1, 4)], EvenDegreeVertex, "vertex 1 has even degree 2"),
+        (5, [(0, 3), (1, 2), (1, 4)], WrongGraphClass, "vertex 1 has even degree 2"),
         # a claw on {0, 2, 4, 5}, then single edges {1, 6} and {3, 7}
         (
             8,
             [(0, 2), (0, 4), (0, 5), (3, 7), (1, 6)],
-            HasK2Component,
+            WrongGraphClass,
             "component (1, 6) is a single edge",
         ),
     ],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -19,16 +20,7 @@ from antimagic.constructors import (
     construct_two_s3,
     p3_threshold,
 )
-from antimagic.errors import (
-    BadParameters,
-    EvenDegreeVertex,
-    HasK2Component,
-    IsolatedVertices,
-    KBelowThreshold,
-    NotForest,
-    PathTooShort,
-    TooFewLeaves,
-)
+from antimagic.errors import BadParameters, WrongGraphClass
 from antimagic.families import (
     complete,
     complete_bipartite,
@@ -81,11 +73,11 @@ def test_forest_random_trees_are_sdds():
 
 
 def test_forest_rejections():
-    with pytest.raises(NotForest):
+    with pytest.raises(WrongGraphClass, match=r"component \(0, 1, 2, 3\) contains a cycle"):
         construct_forest_sdds(cycle(4))
-    with pytest.raises(HasK2Component):
+    with pytest.raises(WrongGraphClass, match=r"component \(0, 1\) is a single edge"):
         construct_forest_sdds(path(2))
-    with pytest.raises(IsolatedVertices):
+    with pytest.raises(WrongGraphClass, match="vertex 0 has no edges"):
         construct_forest_sdds(build_graph(4, [(1, 2), (2, 3)]))
 
 
@@ -133,9 +125,9 @@ def test_odd_star_with_many_leaves(leaves):
 
 
 def test_odd_rejections():
-    with pytest.raises(EvenDegreeVertex):
+    with pytest.raises(WrongGraphClass, match="vertex 1 has even degree 2"):
         construct_odd_degree(path(3))
-    with pytest.raises(HasK2Component):
+    with pytest.raises(WrongGraphClass, match=r"component \(0, 1\) is a single edge"):
         construct_odd_degree(path(2))
 
 
@@ -157,7 +149,7 @@ def test_path_strong_goldens():
 def test_path_strong_sweep():
     for n in range(3, 31):
         assert is_strongly_antimagic(construct_path_strong(n))
-    with pytest.raises(PathTooShort):
+    with pytest.raises(BadParameters, match="need at least three vertices, got 2"):
         construct_path_strong(2)
 
 
@@ -181,7 +173,7 @@ def test_path_shifted_sweep():
             f = construct_path_shifted(n, k)
             v = verify_shifted(f, k)
             assert v, (n, k, v.code, v.detail)
-    with pytest.raises(PathTooShort):
+    with pytest.raises(BadParameters, match="needs n >= 6, got 5"):
         construct_path_shifted(5, 0)
 
 
@@ -201,7 +193,7 @@ def test_star_infeasible_band_matches_closed_form():
 
 
 def test_star_rejects_trivial_sizes():
-    with pytest.raises(TooFewLeaves):
+    with pytest.raises(BadParameters, match="need at least two leaves, got 1"):
         construct_star(1, 0)
 
 
@@ -270,7 +262,7 @@ def test_cp3_sweep_above_threshold():
 
 
 def test_cp3_rejects_below_threshold():
-    with pytest.raises(KBelowThreshold):
+    with pytest.raises(BadParameters, match="direct construction needs k >= 2, got 1"):
         construct_cp3(5, 1)
     with pytest.raises(BadParameters):
         construct_cp3(0, 0)
@@ -313,6 +305,34 @@ def test_p3_threshold_is_minimal():
 
         assert gap(c) > 0
         assert c == m + 1 or gap(c - 1) <= 0
+
+
+def seed_p3_threshold(m: int) -> int:
+    """p3_threshold as it was before it started at the root (verbatim)."""
+    if m < 0:
+        raise BadParameters(f"edge count cannot be negative, got {m}")
+    c = m + 1
+    while True:
+        if (1 + m + 2 * c) * (m + 2 * c) < (1 + m + 5 * c) * (c - m):
+            return c
+        c += 1
+
+
+def test_p3_threshold_matches_the_counting_loop():
+    for m in range(0, 3001):
+        assert p3_threshold(m) == seed_p3_threshold(m), m
+
+
+def test_p3_threshold_answers_huge_edge_counts_at_once():
+    m = 10**12
+
+    def holds(c: int) -> bool:
+        return (1 + m + 2 * c) * (m + 2 * c) < (1 + m + 5 * c) * (c - m)
+
+    start = time.perf_counter()
+    c = p3_threshold(m)
+    assert time.perf_counter() - start < 0.1
+    assert holds(c) and not holds(c - 1)
 
 
 def test_forest_shift_threshold_lemma():

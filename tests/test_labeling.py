@@ -6,7 +6,7 @@ from itertools import permutations
 
 import pytest
 
-from antimagic.errors import EmptyGraph, IncompleteLabeling, UnlabeledIncidentEdge
+from antimagic.errors import BadParameters, InvalidLabeling
 from antimagic.families import complete, path, star
 from antimagic.graph import build_graph
 from antimagic.labeling import (
@@ -27,7 +27,7 @@ def test_from_dict_and_label_of():
     f = EdgeLabeling.from_dict(g, {(0, 1): 3, (1, 2): 1, (2, 3): 2})
     assert f.labels == (3, 1, 2)
     assert f.as_dict() == {(0, 1): 3, (1, 2): 1, (2, 3): 2}
-    with pytest.raises(IncompleteLabeling):
+    with pytest.raises(InvalidLabeling, match=r"edge \(2, 3\) has no label"):
         EdgeLabeling.from_dict(g, {(0, 1): 3, (1, 2): 1})
 
 
@@ -36,9 +36,9 @@ def test_tuple_helpers_keep_the_length_check():
     f = EdgeLabeling(g, (2, 1))
     assert f._replace(base=-1) == EdgeLabeling(g, (2, 1), -1)
     assert EdgeLabeling._make(f) == f
-    with pytest.raises(IncompleteLabeling, match="1 labels for 2 edges"):
+    with pytest.raises(InvalidLabeling, match="1 labels for 2 edges"):
         f._replace(labels=(1,))
-    with pytest.raises(IncompleteLabeling, match="3 labels for 2 edges"):
+    with pytest.raises(InvalidLabeling, match="3 labels for 2 edges"):
         EdgeLabeling._make((g, (1, 2, 3), None))
 
 
@@ -130,7 +130,7 @@ def test_negation_maps_verdicts_both_ways():
 def test_sdds_shift_threshold():
     assert sdds_shift_threshold(path(5)) == 3
     assert sdds_shift_threshold(complete(4)) == 10
-    with pytest.raises(EmptyGraph):
+    with pytest.raises(BadParameters, match="no edges"):
         sdds_shift_threshold(build_graph(3, []))
 
 
@@ -139,11 +139,11 @@ def test_partial_vertex_sum():
     labels = {(0, 1): 5, (0, 2): 7, (0, 3): 9}
     assert partial_vertex_sum(g, labels, 0, (0, 2)) == 14
     assert partial_vertex_sum(g, labels, 1, (0, 1)) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidLabeling, match="not incident to vertex 1"):
         partial_vertex_sum(g, labels, 1, (0, 2))
     for v in (4, -1):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidLabeling, match="is not a vertex of a 4-vertex graph"):
             partial_vertex_sum(g, labels, v, (0, v))
     del labels[(0, 3)]
-    with pytest.raises(UnlabeledIncidentEdge):
+    with pytest.raises(InvalidLabeling, match=r"edge \(0, 3\) at vertex 0 has no label yet"):
         partial_vertex_sum(g, labels, 0, (0, 1))

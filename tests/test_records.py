@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from antimagic.errors import IncompleteLabeling
+from antimagic.errors import InvalidLabeling
 from antimagic.graph import Component, Graph, LevelPartition
 from antimagic.labeling import EdgeLabeling, Verdict
 from antimagic.spectrum import Family, ShiftStatus, SpectrumReport, WindowResult
@@ -141,10 +141,10 @@ def test_graph_caches_survive_immutability():
     "labels, message", [((1,), "1 labels for 2 edges"), ((1, 2, 3), "3 labels for 2 edges")]
 )
 def test_length_mismatch_raises_incomplete_labeling(labels, message):
-    with pytest.raises(IncompleteLabeling) as info:
+    with pytest.raises(InvalidLabeling) as info:
         EdgeLabeling(_graph(), labels)
     assert str(info.value) == message
-    with pytest.raises(IncompleteLabeling) as info:
+    with pytest.raises(InvalidLabeling) as info:
         EdgeLabeling(graph=_graph(), labels=labels, base=0)
     assert str(info.value) == message
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Sequence
 
-from antimagic.errors import NoValidSigma
+from antimagic.errors import InvalidTrails
 from antimagic.families import complete, complete_bipartite, cube, petersen
 from antimagic.graph import Edge, Graph, build_graph, layer_subgraphs, level_partition
 from antimagic.trails import (
@@ -26,6 +26,7 @@ from antimagic.trails import (
 from conftest import k32_blocks
 
 # --- verbatim copy of the replaced search -----------------------------------
+# (only its exception class renamed to the one that replaced it)
 
 
 def _open_trail_split(edges: Sequence[Edge]) -> list[list[int]] | None:
@@ -75,7 +76,7 @@ def seed_find_sigma_and_trails(h: Graph, deep: Iterable[int]) -> TrailDecomposit
 
     Searches depth-first over per-vertex incident-edge choices in canonical
     order; the first choice whose remainder decomposes wins. Raises
-    NoValidSigma when no choice works, or when the input did not come from
+    InvalidTrails when no choice works, or when the input did not come from
     a level partition: an edge without exactly one deep endpoint, or a
     deep vertex with no incident edge.
     """
@@ -85,11 +86,11 @@ def seed_find_sigma_and_trails(h: Graph, deep: Iterable[int]) -> TrailDecomposit
         u, v = e
         u_deep = u in incident
         if u_deep == (v in incident):
-            raise NoValidSigma(f"edge {e} does not join a deep vertex to a shallow one")
+            raise InvalidTrails(f"edge {e} does not join a deep vertex to a shallow one")
         incident[u if u_deep else v].append(e)
     for v in deep_sorted:
         if not incident[v]:
-            raise NoValidSigma(f"deep vertex {v} has no incident cross edge")
+            raise InvalidTrails(f"deep vertex {v} has no incident cross edge")
 
     # Depth-first search with an explicit stack, so a level with thousands
     # of vertices cannot exhaust the recursion limit: chosen[i] is the edge
@@ -125,7 +126,7 @@ def seed_find_sigma_and_trails(h: Graph, deep: Iterable[int]) -> TrailDecomposit
             chosen_set.discard(chosen.pop())
 
     if split is None:
-        raise NoValidSigma(
+        raise InvalidTrails(
             f"no edge reservation for {deep_sorted} leaves an open-trail remainder"
         )
     deep_set = set(deep_sorted)

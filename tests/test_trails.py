@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antimagic.constructors import construct_odd_degree
-from antimagic.errors import NoValidSigma, OddWMTrail, RangeSizeMismatch
+from antimagic.errors import InvalidTrails
 from antimagic.families import complete, complete_bipartite, cube
 from antimagic.graph import build_graph, canonical_edge, layer_subgraphs, level_partition
 from antimagic.labeling import is_sdds
@@ -107,7 +107,7 @@ def test_odd_w_trail_is_rejected():
     dec = TrailDecomposition(
         cross=cross, deep=(0, 3), sigma=(), trails=(Trail((1, 0, 3, 2), "W"),)
     )
-    with pytest.raises(OddWMTrail):
+    with pytest.raises(InvalidTrails, match="W trail .* has odd length"):
         label_trails(dec, range(1, 4))
 
 
@@ -116,31 +116,38 @@ def test_label_block_must_match_and_be_contiguous():
     dec = TrailDecomposition(
         cross=cross, deep=(0, 2), sigma=(), trails=(Trail((0, 1, 2), "M"),)
     )
-    with pytest.raises(RangeSizeMismatch):
+    with pytest.raises(InvalidTrails, match="3 labels for 2 trail edges"):
         label_trails(dec, range(1, 4))
-    with pytest.raises(RangeSizeMismatch):
+    with pytest.raises(InvalidTrails, match="labels must form an ascending run"):
         label_trails(dec, [4, 6])
 
 
 def test_no_sigma_when_deep_vertex_has_no_cross_edge():
     h = build_graph(3, [(0, 1)])
-    with pytest.raises(NoValidSigma):
+    # (0, 1) has no deep end, and is met before vertex 2 is
+    with pytest.raises(InvalidTrails, match=r"edge \(0, 1\) does not join a deep vertex"):
         find_sigma_and_trails(h, {2})
+    with pytest.raises(InvalidTrails, match="deep vertex 2 has no incident cross edge"):
+        find_sigma_and_trails(h, {1, 2})
 
 
 def test_no_sigma_when_every_remainder_is_eulerian():
     # the triangle's edges have no deep endpoint, so this is not a cross
     # block and is rejected before any edge is reserved
     h = build_graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
-    with pytest.raises(NoValidSigma):
+    with pytest.raises(InvalidTrails, match="does not join a deep vertex to a shallow one"):
         find_sigma_and_trails(h, {3})
 
 
 def test_no_sigma_when_an_edge_has_two_deep_ends():
     # (1, 3) joins two deep vertices, so this is not a cross block; the
-    # search used to accept it and label_trails then raised ValueError
+    # search used to accept it and label_trails then raised ValueError.
+    # In the first block (0, 2), with no deep end, is met first.
     h = build_graph(4, [(2, 3), (0, 2), (1, 2), (0, 3), (1, 3)])
-    with pytest.raises(NoValidSigma):
+    with pytest.raises(InvalidTrails, match=r"edge \(0, 2\) does not join a deep vertex"):
+        find_sigma_and_trails(h, [3, 1])
+    h = build_graph(4, [(0, 1), (1, 3), (2, 3)])
+    with pytest.raises(InvalidTrails, match=r"edge \(1, 3\) does not join a deep vertex"):
         find_sigma_and_trails(h, [3, 1])
 
 
@@ -153,7 +160,9 @@ def test_arbitrary_blocks_are_labeled_or_rejected_with_no_valid_sigma():
         deep = rng.sample(range(n), rng.randint(1, n - 1))
         try:
             dec = find_sigma_and_trails(h, deep)
-        except NoValidSigma:
+        except InvalidTrails as exc:
+            # only a block that is not a cross block is turned away
+            assert "does not join" in str(exc) or "no incident cross edge" in str(exc)
             continue
         assert all(sum(1 for v in e if v in dec.deep) == 1 for e in h.edges)
         label_trails(dec, range(1, 1 + sum(t.edge_count for t in dec.trails)))
@@ -163,19 +172,19 @@ def test_validate_rejects_broken_decompositions():
     cross = build_graph(3, [(0, 1), (1, 2)])
     walk = Trail((0, 1, 2), "M")
 
-    with pytest.raises(ValueError, match="incident"):
+    with pytest.raises(InvalidTrails, match="incident"):
         TrailDecomposition(cross, (0,), ((0, (1, 2)),), ()).validate()
-    with pytest.raises(ValueError, match="deep-side"):
+    with pytest.raises(InvalidTrails, match="deep-side"):
         TrailDecomposition(cross, (0,), ((1, (0, 1)),), ()).validate()
-    with pytest.raises(ValueError, match="one edge per deep vertex"):
+    with pytest.raises(InvalidTrails, match="one edge per deep vertex"):
         TrailDecomposition(cross, (0, 2), ((0, (0, 1)),), ()).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidTrails, match="typed M, endpoints say W"):
         TrailDecomposition(cross, (), (), (walk, walk)).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidTrails, match="is closed"):
         TrailDecomposition(
             cross, (), (), (Trail((0, 1, 0), "M"),)
         ).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidTrails, match="do not partition the cross edges"):
         TrailDecomposition(cross, (), (), ()).validate()
 
 
