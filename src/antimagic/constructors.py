@@ -12,18 +12,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from itertools import count
 
 from .errors import BadParameters, WrongGraphClass
 from .families import cp3, double_star, p5prime, path, star, two_p4, two_s3
-from .graph import (
-    Edge,
-    Graph,
-    _component_vertices,
-    _root,
-    layer_subgraphs,
-    level_partition,
-)
-from .labeling import EdgeLabeling, mirror, partial_vertex_sum, shift_labeling
+from .graph import Edge, Graph, _component_vertices, _root
+from .labeling import EdgeLabeling, mirror, shift_labeling
 from .trails import find_sigma_and_trails, label_trails
 
 
@@ -81,35 +75,79 @@ def construct_odd_degree(g: Graph) -> EdgeLabeling:
     each level labels its internal edges, then the trail edges of a
     cross-block decomposition, then the reserved edge of each level vertex
     in ascending order of the sum already at that vertex.
+
+    One pass over the edges files each into its level's internal or cross
+    block, labels go into a list by edge position, and every vertex sum is
+    kept as labels land, so the whole run is linear in the graph apart
+    from the sorts.
     """
     deg = g.degrees()
     for v, d in enumerate(deg):
         if d % 2 == 0:
             raise WrongGraphClass(f"vertex {v} has even degree {d}")
-    _, comps = _component_vertices(g)
+    comp_of, comps = _component_vertices(g)
     for verts in comps:
         if len(verts) == 2:
             raise WrongGraphClass(f"component {tuple(sorted(verts))} is a single edge")
-    labels: dict[Edge, int] = {}
-    nxt = 1
+    adj = g.adjacency()
+    edges = g.edges
+    depth = [-1] * g.n
+    levels: list[list[list[int]]] = []  # per component, its breadth-first levels
     for verts in comps:
-        p = level_partition(g, _root(verts, deg))
-        for depth in range(p.d, 0, -1):
-            intra, cross = layer_subgraphs(g, p, depth)
-            for e in intra.edges:
-                labels[e] = nxt
+        root = _root(verts, deg)
+        depth[root] = 0
+        layers = [[root]]
+        for i, layer in enumerate(layers):  # grows while it is walked
+            deeper = []
+            for w in layer:
+                for x in adj[w]:
+                    if depth[x] < 0:
+                        depth[x] = i + 1
+                        deeper.append(x)
+            if deeper:
+                layers.append(deeper)
+        levels.append(layers)
+    # per component and level: (its internal edge positions, its cross edges)
+    blocks = [[([], []) for _ in layers] for layers in levels]
+    for i, e in enumerate(edges):
+        du, dv = depth[e[0]], depth[e[1]]
+        level = blocks[comp_of[e[0]]]
+        if du == dv:
+            level[du][0].append(i)
+        else:
+            level[du if du > dv else dv][1].append(e)
+    pos = dict(zip(edges, range(g.m)))
+    labels = [0] * g.m
+    vsum = [0] * g.n
+    nxt = 1
+    for layers, level in zip(levels, blocks):
+        for d in range(len(layers) - 1, 0, -1):
+            intra, cross = level[d]
+            for i in intra:
+                u, v = edges[i]
+                labels[i] = nxt
+                vsum[u] += nxt
+                vsum[v] += nxt
                 nxt += 1
-            dec = find_sigma_and_trails(cross, p.levels[depth])
-            block = sum(t.edge_count for t in dec.trails)
-            labels.update(label_trails(dec, range(nxt, nxt + block)))
+            dec = find_sigma_and_trails(Graph(g.n, tuple(cross)), layers[d])
+            block = len(cross) - len(dec.sigma)  # the trail edges
+            for e, x in label_trails(dec, range(nxt, nxt + block)).items():
+                labels[pos[e]] = x
+                u, v = e
+                vsum[u] += x
+                vsum[v] += x
             nxt += block
-            ranked = sorted(
-                (partial_vertex_sum(g, labels, v, e), v, e) for v, e in dec.sigma
-            )
-            for _, _, e in ranked:
-                labels[e] = nxt
-                nxt += 1
-    return EdgeLabeling(g, tuple(labels[e] for e in g.edges), base=0)
+            # every edge at a deep vertex but its reserved one is labeled
+            # now; a stable sort by that sum keeps ties in vertex order
+            sums = [vsum[w] for w, _ in dec.sigma]
+            ranked = map(dec.sigma.__getitem__, sorted(range(len(sums)), key=sums.__getitem__))
+            for x, (_, e) in zip(count(nxt), ranked):
+                labels[pos[e]] = x
+                u, v = e
+                vsum[u] += x
+                vsum[v] += x
+            nxt += len(sums)
+    return EdgeLabeling(g, tuple(labels), base=0)
 
 
 def _strong_path_labels(n: int) -> list[int]:

@@ -9,6 +9,7 @@ recomputed from the labels.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 
@@ -201,24 +202,53 @@ def is_strongly_antimagic(f: EdgeLabeling) -> Verdict:
     """Check antimagic with sums ordered strictly by degree (1..m labels).
 
     Accepts iff all vertex sums are pairwise distinct and deg(u) > deg(v)
-    implies sum(u) > sum(v).
+    implies sum(u) > sum(v). A degree-order violation is reported as its
+    first pair (u, v), u < v, in pair order.
     """
     _require_one_to_m(f)
     sums = vertex_sums(f)
     deg = f.graph.degrees()
     if len(set(sums)) < len(sums):
         return _sum_collision(sums)
-    for u in range(f.graph.n):
-        for v in range(u + 1, f.graph.n):
-            if (deg[u] - deg[v]) * (sums[u] - sums[v]) < 0:
-                hi, lo = (u, v) if deg[u] > deg[v] else (v, u)
-                return Verdict.reject(
-                    "degree-order-violation",
-                    (hi, lo),
-                    f"deg({hi})={deg[hi]} > deg({lo})={deg[lo]} "
-                    f"but sum {sums[hi]} < {sums[lo]}",
-                )
-    return Verdict.accept()
+    u = _first_out_of_order(deg, sums)
+    if u is None:
+        return Verdict.accept()
+    # u is the least vertex in any violation, so its first partner is the
+    # first violating pair in (u, v) order
+    v = next(v for v in range(u + 1, len(sums)) if (deg[u] - deg[v]) * (sums[u] - sums[v]) < 0)
+    hi, lo = (u, v) if deg[u] > deg[v] else (v, u)
+    return Verdict.reject(
+        "degree-order-violation",
+        (hi, lo),
+        f"deg({hi})={deg[hi]} > deg({lo})={deg[lo]} but sum {sums[hi]} < {sums[lo]}",
+    )
+
+
+def _first_out_of_order(deg: Sequence[int], sums: Sequence[int]) -> int | None:
+    """The least vertex whose sum breaks the degree order with some other
+    vertex, or None; sums must be distinct.
+
+    A vertex breaks it when a vertex of lower degree has a larger sum or
+    one of higher degree a smaller sum, so the largest sum below its
+    degree and the smallest above decide it: O(n log n) in all, for the
+    sort of the degrees.
+    """
+    top: dict[int, int] = {}  # degree -> largest sum at it
+    bottom: dict[int, int] = {}  # degree -> smallest sum at it
+    for d, s in zip(deg, sums):
+        top[d] = max(top.get(d, s), s)
+        bottom[d] = min(bottom.get(d, s), s)
+    below: dict[int, float] = {}  # degree -> largest sum at a lower degree
+    above: dict[int, float] = {}  # degree -> smallest sum at a higher degree
+    run: float = -math.inf
+    for d in sorted(top):
+        below[d], run = run, max(run, top[d])
+    run = math.inf
+    for d in sorted(top, reverse=True):
+        above[d], run = run, min(run, bottom[d])
+    return next(
+        (u for u, (d, s) in enumerate(zip(deg, sums)) if below[d] > s or above[d] < s), None
+    )
 
 
 def shift_labeling(f: EdgeLabeling, t: int) -> EdgeLabeling:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
+from collections import Counter, namedtuple
 from contextvars import ContextVar
+from itertools import chain
 
 from . import families
 from .constructors import (
@@ -272,11 +273,17 @@ def _assign(g: Graph, pool: list[int], rule: str) -> tuple[int, ...] | None:
 
 def _search(g: Graph, budget: int, k: int, rule: str) -> EdgeLabeling | None:
     """A k-shifted labeling under `rule` from `_assign`, or None; raises
-    BudgetExceeded past `budget` edges."""
+    BudgetExceeded past `budget` edges.
+
+    Past n = 2m+1 two vertices are isolated and share the sum 0 under
+    every rule, so the answer is None at once, without a per-vertex list.
+    """
     if g.m > budget:
         raise BudgetExceeded(
             f"{g.m} edges exceeds the exhaustive-search budget of {budget}"
         )
+    if g.n > 2 * g.m + 1:
+        return None
     found = _assign(g, list(range(k + 1, k + g.m + 1)), rule)
     return None if found is None else EdgeLabeling(g, found, base=k)
 
@@ -316,10 +323,12 @@ def finite_window(g: Graph, budget: int = DEFAULT_BUDGET) -> WindowResult:
     [-(h+m+1), h] open where h is the shift threshold. Raises NoSddsFound
     when no such certificate exists at all.
     """
-    deg = g.degrees()
-    if any(deg[u] == 1 and deg[v] == 1 for u, v in g.edges):
+    # the first two checks read only the edge endpoints, so a huge vertex
+    # count costs nothing: at most 2m vertices touch an edge
+    touches = Counter(chain.from_iterable(g.edges))
+    if any(touches[u] == 1 and touches[v] == 1 for u, v in g.edges):
         raise NoSddsFound("a single-edge component forces two equal sums")
-    if deg.count(0) >= 2:
+    if g.n - len(touches) >= 2:
         raise NoSddsFound("two isolated vertices share the sum 0")
     if g.m == 0:
         raise NoSddsFound("no edges to label")
@@ -331,7 +340,7 @@ def finite_window(g: Graph, budget: int = DEFAULT_BUDGET) -> WindowResult:
         cert = construct_forest_sdds(g)
     except WrongGraphClass:
         cert = None
-    if cert is None and all(d % 2 == 1 for d in deg):
+    if cert is None and all(d % 2 == 1 for d in g.degrees()):
         cert = construct_odd_degree(g)
     if cert is None:
         cert = search_sdds(g, budget)
@@ -424,7 +433,9 @@ def spectrum(
     the brute-force work: only the upper half is decided, mirrors reuse it.
     Every search of one call shares one edge plan.
     """
-    token = _SWEEP_STEPS.set((g, _steps(g))) if g.m <= budget else None
+    # past n = 2m+1 every search answers at once and needs no plan
+    shared = g.m <= budget and g.n <= 2 * g.m + 1
+    token = _SWEEP_STEPS.set((g, _steps(g))) if shared else None
     try:
         return _sweep(g, window, budget)
     finally:

@@ -17,11 +17,13 @@ odd length.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from bisect import insort
+from collections import defaultdict, namedtuple
 from collections.abc import Iterable, Sequence
+from operator import contains
 
 from .errors import InvalidTrails
-from .graph import Edge, Graph, canonical_edge
+from .graph import Edge, Graph
 
 
 class Trail(namedtuple("Trail", "vertices kind")):
@@ -35,7 +37,7 @@ class Trail(namedtuple("Trail", "vertices kind")):
 
     def edges(self) -> list[Edge]:
         vs = self.vertices
-        return [canonical_edge(vs[j], vs[j + 1]) for j in range(len(vs) - 1)]
+        return [(a, b) if a <= b else (b, a) for a, b in zip(vs, vs[1:])]
 
     def reversed(self) -> Trail:
         return Trail(tuple(reversed(self.vertices)), self.kind)
@@ -54,40 +56,44 @@ class TrailDecomposition(namedtuple("TrailDecomposition", "cross deep sigma trai
     def validate(self) -> None:
         """Raise InvalidTrails unless every structural invariant holds."""
         deep = set(self.deep)
-        sigma_edges: list[Edge] = []
-        for v, e in self.sigma:
-            if v not in e:
-                raise InvalidTrails(f"sigma edge {e} is not incident to vertex {v}")
-            if v not in deep:
-                raise InvalidTrails(f"sigma key {v} is not a deep-side vertex")
-            sigma_edges.append(e)
-        if len(set(sigma_edges)) != len(sigma_edges):
+        keys = [v for v, _ in self.sigma]
+        sigma_edges = [e for _, e in self.sigma]
+        # one pass over all pairs accepts; the scan names the first fault
+        if not (all(map(contains, sigma_edges, keys)) and deep.issuperset(keys)):
+            for v, e in self.sigma:
+                if v not in e:
+                    raise InvalidTrails(f"sigma edge {e} is not incident to vertex {v}")
+                if v not in deep:
+                    raise InvalidTrails(f"sigma key {v} is not a deep-side vertex")
+        distinct = set(sigma_edges)
+        if len(distinct) != len(sigma_edges):
             raise InvalidTrails("sigma is not injective")
-        if sorted(v for v, _ in self.sigma) != sorted(deep):
+        if sorted(keys) != sorted(deep):
             raise InvalidTrails("sigma must choose exactly one edge per deep vertex")
 
-        covered: list[Edge] = list(sigma_edges)
-        ends: list[int] = []
-        for t in self.trails:
-            if len(t.vertices) < 2:
+        for vs, kind in self.trails:
+            if len(vs) < 2:
                 raise InvalidTrails("trail with no edges")
-            for a, b in zip(t.vertices, t.vertices[1:]):
-                covered.append(canonical_edge(a, b))
-            first, last = t.vertices[0], t.vertices[-1]
+            first, last = vs[0], vs[-1]
             if first == last:
-                raise InvalidTrails(f"trail {t.vertices} is closed")
-            ends.extend((first, last))
+                raise InvalidTrails(f"trail {vs} is closed")
             expected = _kind(first, last, deep)
-            if t.kind != expected:
-                raise InvalidTrails(
-                    f"trail {t.vertices} typed {t.kind}, endpoints say {expected}"
-                )
+            if kind != expected:
+                raise InvalidTrails(f"trail {vs} typed {kind}, endpoints say {expected}")
+        ends = [x for vs, _ in self.trails for x in (vs[0], vs[-1])]
         if len(set(ends)) != len(ends):
             raise InvalidTrails("two trails share an initial or terminal vertex")
-        if len(set(covered)) != len(covered):
+        walked = [e for t in self.trails for e in t.edges()]
+        distinct.update(walked)
+        if len(distinct) != len(sigma_edges) + len(walked):
             raise InvalidTrails("an edge is covered twice")
-        if set(covered) != set(self.cross.edges):
+        if distinct != set(self.cross.edges):
             raise InvalidTrails("sigma plus trails do not partition the cross edges")
+
+
+# Per-component forms of the leftover components and the Euler walk.
+# find_sigma_and_trails no longer calls them; tests/test_sigma_oracle.py
+# keeps a verbatim copy of the backtracking search they served, which does.
 
 
 def _edge_components(edges: Sequence[Edge]) -> list[list[Edge]]:
@@ -141,51 +147,12 @@ def _euler_steps(
     return [(frm, eid, v) for v, eid, frm in popped if eid is not None]
 
 
-def _odd_vertices(comp: Sequence[Edge]) -> list[int]:
-    """The vertices of odd degree in an edge set, ascending."""
-    deg: dict[int, int] = {}
-    for u, v in comp:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return sorted(v for v, dv in deg.items() if dv % 2 == 1)
-
-
-def _open_trails(comp: Sequence[Edge], odd: list[int]) -> list[list[int]]:
-    """Split a connected edge set into open trails ending at its odd vertices.
-
-    `odd` must be the component's odd-degree vertices, and not empty.
-    Returns trail vertex sequences.
-    """
-    n_real = len(comp)
-    records: list[Edge] = list(comp)
-    records += [(odd[j], odd[j + 1]) for j in range(0, len(odd), 2)]
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for eid, (u, v) in enumerate(records):
-        adj.setdefault(u, []).append((v, eid))
-        adj.setdefault(v, []).append((u, eid))
-    for row in adj.values():
-        row.sort()
-    steps = _euler_steps(adj, odd[0], len(records))
-    cut = next(i for i, s in enumerate(steps) if s[1] >= n_real)
-    steps = steps[cut + 1 :] + steps[: cut + 1]
-    trails: list[list[int]] = []
-    current: list[tuple[int, int, int]] = []
-    for frm, eid, to in steps:
-        if eid >= n_real:
-            if not current:
-                raise InvalidTrails("virtual edges ended up adjacent in the walk")
-            trails.append([current[0][0]] + [s[2] for s in current])
-            current = []
-        else:
-            current.append((frm, eid, to))
-    if current:
-        raise InvalidTrails("walk did not end on a virtual edge")
-    return trails
-
-
 def _kind(first: int, last: int, deep: set[int]) -> str:
     """The kind of a trail with these two ends."""
-    return {(True, True): "M", (False, False): "W"}.get((first in deep, last in deep), "N")
+    first_deep = first in deep
+    if first_deep != (last in deep):
+        return "N"
+    return "M" if first_deep else "W"
 
 
 def _classify(seq: list[int], deep: set[int]) -> Trail:
@@ -209,55 +176,148 @@ def find_sigma_and_trails(h: Graph, deep: Iterable[int]) -> TrailDecomposition:
     C and needs no repair of its own. Whichever repaired component of a
     merged group comes last keeps its x odd, as no later swap lands in it.
 
+    One pass over `h.edges` checks the block, makes the first reservations
+    and builds one adjacency of the leftover edges. That adjacency serves
+    the leftover components, their odd vertices and every Euler walk, so
+    past one sort of its vertices the split takes time linear in the
+    block. Its rows hold (neighbour, edge index) pairs in edge order, which
+    is ascending neighbour order because `h.edges` is sorted.
+
     Raises InvalidTrails when the input is not a cross block: an edge
     without exactly one deep endpoint, or a deep vertex with no incident
     edge.
     """
     deep_sorted = sorted(set(deep))
-    incident: dict[int, list[Edge]] = {v: [] for v in deep_sorted}
-    for e in h.edges:
-        u, v = e
-        u_deep = u in incident
-        if u_deep == (v in incident):
-            raise InvalidTrails(f"edge {e} does not join a deep vertex to a shallow one")
-        incident[u if u_deep else v].append(e)
-    for v in deep_sorted:
-        if not incident[v]:
-            raise InvalidTrails(f"deep vertex {v} has no incident cross edge")
-
-    def leftover(sigma: dict[int, Edge]) -> tuple[list[list[Edge]], list[list[int]]]:
-        reserved = set(sigma.values())
-        comps = _edge_components([e for e in h.edges if e not in reserved])
-        return comps, [_odd_vertices(comp) for comp in comps]
-
-    sigma = {v: incident[v][0] for v in deep_sorted}
-    comps, odds = leftover(sigma)
-    if not all(odds):
-        comp_of = {x: i for i, comp in enumerate(comps) for e in comp for x in e}
-        opened: set[int | None] = set()
-        for i, comp in enumerate(comps):
-            if odds[i] or i in opened:
-                continue
-            v = max(a if a in incident else b for a, b in comp)
-            a, b = sigma[v]
-            opened.add(comp_of.get(b if a == v else a))
-            # v has even degree in C, and all its edges but sigma[v] lie in C
-            sigma[v] = incident[v][1]
-        comps, odds = leftover(sigma)
-
     deep_set = set(deep_sorted)
+    edges = h.edges
+    adj: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    sigma: dict[int, int] = {}  # deep vertex -> index of its reserved edge
+    for eid, e in enumerate(edges):
+        u, v = e
+        if u in deep_set:
+            if v in deep_set:
+                raise InvalidTrails(f"edge {e} does not join a deep vertex to a shallow one")
+            if u not in sigma:
+                sigma[u] = eid
+                continue
+        elif v not in deep_set:
+            raise InvalidTrails(f"edge {e} does not join a deep vertex to a shallow one")
+        elif v not in sigma:
+            sigma[v] = eid
+            continue
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    if len(sigma) < len(deep_sorted):
+        v = next(v for v in deep_sorted if v not in sigma)
+        raise InvalidTrails(f"deep vertex {v} has no incident cross edge")
+
+    comp_of, comps = _leftover(adj)
+    if not all(odd for odd, _ in comps):
+        opened: set[int | None] = set()
+        for i, (odd, verts) in enumerate(comps):
+            if odd or i in opened:
+                continue
+            v = max(x for x in verts if x in deep_set)
+            a, b = edges[sigma[v]]
+            w = b if a == v else a
+            opened.add(comp_of.get(w))
+            # v has even degree in C, and all its edges but sigma[v] lie in C
+            x, eid = adj[v][0]
+            adj[v].remove((x, eid))
+            adj[x].remove((v, eid))
+            insort(adj[v], (w, sigma[v]))
+            insort(adj[w], (v, sigma[v]))
+            sigma[v] = eid
+        comp_of, comps = _leftover(adj)
+
     dec = TrailDecomposition(
         cross=h,
         deep=tuple(deep_sorted),
-        sigma=tuple(sigma.items()),
-        trails=tuple(
-            _classify(seq, deep_set)
-            for comp, odd in zip(comps, odds)
-            for seq in _open_trails(comp, odd)
-        ),
+        sigma=tuple(zip(deep_sorted, [edges[sigma[v]] for v in deep_sorted])),
+        trails=tuple(_open_trails(adj, comps, len(edges), deep_set)),
     )
     dec.validate()
     return dec
+
+
+def _leftover(
+    adj: dict[int, list[tuple[int, int]]],
+) -> tuple[dict[int, int], list[tuple[list[int], list[int]]]]:
+    """The connected components of an adjacency, in order of least vertex.
+
+    Returns the component index of every vertex with an edge and, per
+    component, its odd-degree vertices ascending and all its vertices.
+    """
+    comp_of: dict[int, int] = {}
+    comps: list[tuple[list[int], list[int]]] = []
+    for start in sorted(adj):
+        if start in comp_of or not adj[start]:
+            continue
+        c = len(comps)
+        comp_of[start] = c
+        verts = [start]
+        odd = []
+        for w in verts:  # grows while it is walked: a breadth-first queue
+            row = adj[w]
+            if len(row) % 2:
+                odd.append(w)
+            for x, _ in row:
+                if x not in comp_of:
+                    comp_of[x] = c
+                    verts.append(x)
+        odd.sort()
+        comps.append((odd, verts))
+    return comp_of, comps
+
+
+def _open_trails(
+    adj: dict[int, list[tuple[int, int]]],
+    comps: list[tuple[list[int], list[int]]],
+    real: int,
+    deep: set[int],
+) -> list[Trail]:
+    """Split each component into open trails ending at its odd vertices.
+
+    `real` is the number of edges; every odd vertex list must be nonempty.
+    Virtual edges pair up each component's odd vertices, one closed walk
+    from the least of them takes every edge (Hierholzer, rows scanned in
+    order), and cutting it at the virtual edges, from the first one on,
+    leaves the trails.
+    """
+    used = [False] * real
+    rest = {v: iter(row) for v, row in adj.items()}  # where each row scan resumes
+    trails: list[Trail] = []
+    for odd, _ in comps:
+        # virtual edges take the indices after the real ones, so each
+        # sorts after a real edge to the same neighbour
+        for j in range(0, len(odd), 2):
+            a, b = odd[j], odd[j + 1]
+            insort(adj[a], (b, len(used)))
+            insort(adj[b], (a, len(used)))
+            used.append(False)
+        stack = [odd[0]]
+        entered = [-1]  # the edge each stacked vertex was reached by
+        walk: list[int] = []  # the closed walk, backwards
+        cuts: list[int] = []  # where in it a virtual edge was taken
+        while stack:
+            for x, eid in rest[stack[-1]]:
+                if not used[eid]:
+                    used[eid] = True
+                    stack.append(x)
+                    entered.append(eid)
+                    break
+            else:
+                if entered.pop() >= real:
+                    cuts.append(len(walk))
+                walk.append(stack.pop())
+        walk.reverse()
+        # walk[j] is reached by a virtual edge for each j in cuts, and the
+        # first trail starts after the first one; the last wraps round
+        cuts = [len(walk) - 1 - j for j in reversed(cuts)]
+        for j, k in zip(cuts, cuts[1:]):
+            trails.append(_classify(walk[j:k], deep))
+        trails.append(_classify(walk[cuts[-1] :] + walk[1 : cuts[0]], deep))
+    return trails
 
 
 def label_trails(dec: TrailDecomposition, labels: Sequence[int] | range) -> dict[Edge, int]:
@@ -276,20 +336,17 @@ def label_trails(dec: TrailDecomposition, labels: Sequence[int] | range) -> dict
     pool = list(labels)
     if pool != sorted(pool) or (pool and pool != list(range(pool[0], pool[-1] + 1))):
         raise InvalidTrails(f"labels must form an ascending run, got {pool}")
-    total = sum(t.edge_count for t in dec.trails)
+    trails = dec.trails
+    total = sum(len(vs) for vs, _ in trails) - len(trails)
     if total != len(pool):
         raise InvalidTrails(f"{len(pool)} labels for {total} trail edges")
-    for t in dec.trails:
-        if t.kind in ("W", "M") and t.edge_count % 2 == 1:
-            raise InvalidTrails(f"{t.kind} trail {t.vertices} has odd length")
+    for vs, kind in trails:
+        if kind in ("W", "M") and len(vs) % 2 == 0:
+            raise InvalidTrails(f"{kind} trail {vs} has odd length")
     if not pool:
         return {}
 
-    s, l = pool[0], pool[-1]
-    lo_used = 0
-    hi_used = 0
     deep = set(dec.deep)
-    out: dict[Edge, int] = {}
 
     def orient(t: Trail, start_deep: bool) -> Trail:
         if (t.vertices[0] in deep) == start_deep:
@@ -298,58 +355,46 @@ def label_trails(dec: TrailDecomposition, labels: Sequence[int] | range) -> dict
             return t.reversed()
         return t
 
-    def assign(t: Trail, start_high: bool) -> None:
-        nonlocal lo_used, hi_used
-        for j, e in enumerate(t.edges()):
-            if start_high == (j % 2 == 0):
-                out[e] = l - hi_used
-                hi_used += 1
-            else:
-                out[e] = s + lo_used
-                lo_used += 1
-
-    ws = [t for t in dec.trails if t.kind == "W"]
-    ms = [t for t in dec.trails if t.kind == "M"]
-    ns = sorted(
-        (t for t in dec.trails if t.kind == "N"),
-        key=lambda t: -t.edge_count,
-    )
-    labeled: list[Trail] = []
-    for t in ws:
-        assign(t, start_high=False)
-        labeled.append(t)
-    for t in ms:
-        assign(t, start_high=True)
-        labeled.append(t)
+    # (trail, whether its first edge takes a high label), in labeling order
+    plan = [(t, False) for t in trails if t.kind == "W"]
+    plan += [(t, True) for t in trails if t.kind == "M"]
+    ns = sorted((t for t in trails if t.kind == "N"), key=lambda t: -len(t.vertices))
     for j in range(0, len(ns) - 1, 2):
-        first = orient(ns[j], start_deep=True)
-        second = orient(ns[j + 1], start_deep=False)
-        assign(first, start_high=True)
-        assign(second, start_high=False)
-        labeled.extend((first, second))
+        plan.append((orient(ns[j], start_deep=True), True))
+        plan.append((orient(ns[j + 1], start_deep=False), False))
     if len(ns) % 2 == 1:
-        last = orient(ns[-1], start_deep=True)
-        assign(last, start_high=True)
-        labeled.append(last)
+        plan.append((orient(ns[-1], start_deep=True), True))
 
-    if lo_used + hi_used != len(pool):
+    s, l = pool[0], pool[-1]
+    lo, hi = s, l  # the next label from each end of the block
+    out: dict[Edge, int] = {}
+    labeled: list[tuple[Trail, list[Edge]]] = []
+    for t, high in plan:
+        es = t.edges()
+        for e in es:
+            if high:
+                out[e] = hi
+                hi -= 1
+            else:
+                out[e] = lo
+                lo += 1
+            high = not high
+        labeled.append((t, es))
+    if (lo - s) + (l - hi) != len(pool):
         raise InvalidTrails("label block not fully consumed")
     _check_pair_sums(labeled, deep, out, s, l)
     return out
 
 
 def _check_pair_sums(
-    trails: list[Trail], deep: set[int], out: dict[Edge, int], s: int, l: int
+    labeled: list[tuple[Trail, list[Edge]]], deep: set[int], out: dict[Edge, int], s: int, l: int
 ) -> None:
     # the whole construction leans on these sums; fail loudly if broken
-    for t in trails:
-        es = t.edges()
-        vs = t.vertices
-        for j in range(len(es) - 1):
-            w = vs[j + 1]
-            pair = out[es[j]] + out[es[j + 1]]
-            allowed = (s + l, s + l - 1) if w in deep else (s + l, s + l + 1)
-            if pair not in allowed:
+    for t, es in labeled:
+        for w, e, f in zip(t.vertices[1:], es, es[1:]):
+            pair = out[e] + out[f]
+            if pair != s + l and pair != (s + l - 1 if w in deep else s + l + 1):
+                allowed = (s + l, s + l - 1) if w in deep else (s + l, s + l + 1)
                 raise InvalidTrails(
                     f"internal vertex {w} of trail {t.vertices} sees pair sum "
                     f"{pair}, expected one of {allowed}"

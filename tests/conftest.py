@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from antimagic.graph import Graph, build_graph
+from antimagic.graph import Graph, build_graph, canonical_edge
 from antimagic.labeling import EdgeLabeling
 
 
@@ -40,6 +40,28 @@ def k32_blocks(c: int) -> tuple[Graph, list[int]]:
     """
     edges = [(5 * i + s, 5 * i + d) for i in range(c) for s in range(3) for d in (3, 4)]
     return build_graph(5 * c, edges), [5 * i + d for i in range(c) for d in (3, 4)]
+
+
+def pairing_regular(n: int, d: int, rng: random.Random) -> list[tuple[int, int]]:
+    """A simple d-regular graph on n vertices (d*n even) from the pairing model."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = {canonical_edge(stubs[i], stubs[i + 1]) for i in range(0, d * n, 2)}
+        if len(edges) == d * n // 2 and all(u != v for u, v in edges):
+            return sorted(edges)
+
+
+def k32_fan(c: int) -> tuple[int, list[tuple[int, int]]]:
+    """A hub joined to c groups of three, each group complete to two deep
+    vertices: level 2 from the hub is c disjoint K(3,2) blocks. All
+    degrees are odd when c is."""
+    edges = []
+    for j in range(c):
+        shallow = [1 + 5 * j + s for s in range(3)]
+        edges += [(0, s) for s in shallow]
+        edges += [(s, 4 + 5 * j + d) for s in shallow for d in range(2)]
+    return 1 + 5 * c, edges
 
 
 @pytest.fixture

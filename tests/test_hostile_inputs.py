@@ -1,0 +1,62 @@
+"""Tiny inputs whose vertex count is out of all proportion to their edges.
+
+Each request runs as `python -m antimagic` in a child process whose
+address space is capped at 512 MiB. With n > 2m+1 two vertices are
+isolated and share the sum 0, so no shift is feasible; the toolkit must
+say so from the edges alone, exit with its usual status and print no
+traceback. A per-vertex list for n = 10^9 would need gigabytes.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import antimagic
+
+SRC = Path(antimagic.__file__).resolve().parent.parent
+CAP = 512 * 2**20
+
+SINGLE_EDGE = "1000000000 1\n0 1\n"  # a single-edge component, then isolated vertices
+PATH_P4 = "1000000000 3\n0 1\n1 2\n2 3\n"  # no single-edge component
+
+
+def cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (CAP, CAP))
+
+
+def run_capped(tmp_path: Path, text: str, *argv: str) -> subprocess.CompletedProcess:
+    graph = tmp_path / "graph.txt"
+    graph.write_text(text)
+    return subprocess.run(
+        [sys.executable, "-m", "antimagic", *argv, "--graph", str(graph)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=cap_memory,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "text, argv, code, message",
+    [
+        (SINGLE_EDGE, ("construct", "--k", "0"), 2, "infeasible: no 0-shifted labeling exists"),
+        (SINGLE_EDGE, ("decide", "--k", "0"), 2, "infeasible: exhaustive search rules out k=0"),
+        (PATH_P4, ("construct", "--k", "5"), 2, "infeasible: no 5-shifted labeling exists"),
+        (PATH_P4, ("decide", "--k", "-2"), 2, "infeasible: exhaustive search rules out k=-2"),
+        (SINGLE_EDGE, ("spectrum",), 1, "error: a single-edge component forces two equal sums"),
+        (PATH_P4, ("spectrum",), 1, "error: two isolated vertices share the sum 0"),
+    ],
+    ids=["construct-k2", "decide-k2", "construct-p4", "decide-p4", "spectrum-k2", "spectrum-p4"],
+)
+def test_huge_vertex_count_is_settled_from_the_edges(tmp_path, text, argv, code, message):
+    proc = run_capped(tmp_path, text, *argv)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code
+    assert proc.stderr.splitlines()[-1] == message

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from antimagic.constructors import construct_odd_degree
 from antimagic.errors import InvalidTrails
 from antimagic.families import complete, complete_bipartite, cube
-from antimagic.graph import build_graph, canonical_edge, layer_subgraphs, level_partition
+from antimagic.graph import build_graph, layer_subgraphs, level_partition
 from antimagic.labeling import is_sdds
 from antimagic.trails import (
     Trail,
@@ -20,7 +20,7 @@ from antimagic.trails import (
     find_sigma_and_trails,
     label_trails,
 )
-from conftest import k32_blocks
+from conftest import k32_blocks, k32_fan, pairing_regular
 
 
 def cross_block(g, depth):
@@ -205,28 +205,6 @@ def test_fifty_saturated_blocks_repeat_the_k33_sigma():
     assert dict(dec.sigma) == want
 
 
-def pairing_cubic(n: int, rng: random.Random) -> list[tuple[int, int]]:
-    """A simple cubic graph on n (even) vertices from the pairing model."""
-    while True:
-        stubs = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(stubs)
-        edges = {canonical_edge(stubs[i], stubs[i + 1]) for i in range(0, 3 * n, 2)}
-        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
-            return sorted(edges)
-
-
-def k32_fan(c: int) -> tuple[int, list[tuple[int, int]]]:
-    """A hub joined to c groups of three, each group complete to two deep
-    vertices: level 2 from the hub is c disjoint K(3,2) blocks. All
-    degrees are odd when c is."""
-    edges = []
-    for j in range(c):
-        shallow = [1 + 5 * j + s for s in range(3)]
-        edges += [(0, s) for s in shallow]
-        edges += [(s, 4 + 5 * j + d) for s in shallow for d in range(2)]
-    return 1 + 5 * c, edges
-
-
 @st.composite
 def odd_degree_graphs(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -234,7 +212,7 @@ def odd_degree_graphs(draw):
     for kind in draw(st.lists(st.sampled_from(["cubic", "k33", "fan"]), min_size=1, max_size=3)):
         if kind == "cubic":
             n = draw(st.sampled_from([4, 6, 8, 12, 20]))
-            parts.append((n, pairing_cubic(n, rng)))
+            parts.append((n, pairing_regular(n, 3, rng)))
         elif kind == "k33":
             parts.append((6, list(complete_bipartite(3, 3).edges)))
         else:
