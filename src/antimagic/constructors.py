@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from itertools import count
+from itertools import accumulate, count
 
 from .errors import BadParameters, WrongGraphClass
 from .families import cp3, double_star, p5prime, path, star, two_p4, two_s3
@@ -24,45 +24,66 @@ from .trails import find_sigma_and_trails, label_trails
 def construct_forest_sdds(g: Graph) -> EdgeLabeling:
     """Label a forest with 1..m so same-degree vertices get distinct sums.
 
-    Works tree by tree in order of least vertex id, each tree taking the
-    next block of labels. Within a tree, rooted at its lowest-id vertex of
-    maximum degree, levels are labeled bottom-up; inside a level, vertices
-    are ordered by the sum already sitting on their edges to the level
-    below, and their parent edges take ascending labels in that order.
+    Trees take consecutive blocks of labels in order of least vertex id.
+    Within a tree, rooted at its lowest-id vertex of maximum degree, levels
+    are labeled bottom-up; inside a level, vertices are ordered by the sum
+    already sitting on their edges to the level below, and their parent
+    edges take ascending labels in that order.
+
+    All trees go in one layered pass: one scan over the vertices finds the
+    roots, one breadth-first pass from all of them records parents and
+    levels, and each depth, deepest first, is labeled across every tree at
+    once, each tree drawing on its own label counter. The run is linear in
+    the forest apart from sorting levels with two or more vertices.
     """
     deg = g.degrees()
-    _, trees = _component_vertices(g)
-    for verts in trees:
-        if len(verts) == 1:
-            raise WrongGraphClass(f"vertex {verts[0]} has no edges")
-        if len(verts) == 2:
-            raise WrongGraphClass(f"component {tuple(sorted(verts))} is a single edge")
-        if sum(deg[v] for v in verts) != 2 * (len(verts) - 1):
-            raise WrongGraphClass(f"component {tuple(sorted(verts))} contains a cycle")
+    tree_of, trees = _component_vertices(g)
+    if g.m != g.n - len(trees) or min(map(len, trees), default=3) < 3:
+        for verts in trees:  # name the first faulty component
+            if len(verts) == 1:
+                raise WrongGraphClass(f"vertex {verts[0]} has no edges")
+            if len(verts) == 2:
+                raise WrongGraphClass(f"component {tuple(sorted(verts))} is a single edge")
+            if sum(deg[v] for v in verts) != 2 * (len(verts) - 1):
+                raise WrongGraphClass(f"component {tuple(sorted(verts))} contains a cycle")
+    top = [-1] * len(trees)
+    roots = [0] * len(trees)
+    for v, t in enumerate(tree_of):
+        if deg[v] > top[t]:
+            top[t] = deg[v]
+            roots[t] = v
     adj = g.adjacency()
     parent = [-1] * g.n
+    levels = [roots]  # levels[d]: every tree's depth-d vertices, tree by tree
+    for level in levels:  # grows while it is walked
+        deeper = []
+        for v in level:
+            p = parent[v]
+            for child in adj[v]:
+                if child != p:
+                    parent[child] = v
+                    deeper.append(child)
+        if deeper:
+            levels.append(deeper)
     up = [0] * g.n  # label of the edge from a vertex to its parent
     below = [0] * g.n  # sum of labels on the edges to a vertex's children
-    nxt = 1
-    for verts in trees:
-        levels = [[_root(verts, deg)]]
-        while True:
-            deeper = []
-            for v in levels[-1]:
-                for child in adj[v]:
-                    if child != parent[v]:
-                        parent[child] = v
-                        deeper.append(child)
-            if not deeper:
-                break
-            levels.append(deeper)
-        for level in reversed(levels[1:]):
-            for _, v in sorted((below[v], v) for v in level):
-                up[v] = nxt
-                below[parent[v]] += nxt
-                nxt += 1
+    # each tree's next label: its block starts after the n_i - 1 labels
+    # of every tree i before it
+    nxt = [s - t for t, s in enumerate(accumulate(map(len, trees), initial=1))]
+    for level in levels[:0:-1]:
+        if len(level) > 1:
+            # by (sum below, id); trees count on separately, so their
+            # vertices may interleave
+            level.sort()
+            level.sort(key=below.__getitem__)
+        for v in level:
+            t = tree_of[v]
+            x = nxt[t]
+            nxt[t] = x + 1
+            up[v] = x
+            below[parent[v]] += x
     return EdgeLabeling(
-        g, tuple(up[v] if parent[v] == u else up[u] for u, v in g.edges), base=0
+        g, tuple([up[v] if parent[v] == u else up[u] for u, v in g.edges]), base=0
     )
 
 

@@ -7,17 +7,28 @@ from itertools import combinations
 from .errors import BadParameters
 from .graph import Graph, build_graph
 
+# The most edges a family may have: about twice those of p1000000. Each
+# builder checks its closed-form edge count before it builds anything.
+MAX_EDGES = 2_000_000
+
+
+def _check_size(family: str, m: int) -> None:
+    if m > MAX_EDGES:
+        raise BadParameters(f"{family} would have {m} edges, more than the {MAX_EDGES} allowed")
+
 
 def path(n: int) -> Graph:
     """Path on vertices 0..n-1 in order."""
     if n < 1:
         raise BadParameters(f"path needs at least one vertex, got {n}")
+    _check_size("path", n - 1)
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise BadParameters(f"cycle needs at least three vertices, got {n}")
+    _check_size("cycle", n)
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -25,6 +36,7 @@ def star(leaves: int) -> Graph:
     """Star with center 0 and the given number of leaves."""
     if leaves < 1:
         raise BadParameters(f"star needs at least one leaf, got {leaves}")
+    _check_size("star", leaves)
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
@@ -35,6 +47,7 @@ def double_star(a: int, b: int) -> Graph:
     """
     if a < 1 or b < 1:
         raise BadParameters(f"double star needs a, b >= 1, got ({a}, {b})")
+    _check_size("double star", a + b + 1)
     edges = [(0, 1)]
     edges += [(0, i) for i in range(2, a + 2)]
     edges += [(1, i) for i in range(a + 2, a + b + 2)]
@@ -45,6 +58,7 @@ def cp3(c: int) -> Graph:
     """Disjoint union of c three-vertex paths; component i is 3i-3i+1-3i+2."""
     if c < 1:
         raise BadParameters(f"need at least one component, got {c}")
+    _check_size("cp3", 2 * c)
     edges = []
     for i in range(c):
         edges.append((3 * i, 3 * i + 1))
@@ -70,12 +84,14 @@ def p5prime() -> Graph:
 def complete(n: int) -> Graph:
     if n < 1:
         raise BadParameters(f"need at least one vertex, got {n}")
+    _check_size("complete graph", n * (n - 1) // 2)
     return build_graph(n, list(combinations(range(n), 2)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise BadParameters(f"parts must be nonempty, got ({a}, {b})")
+    _check_size("complete bipartite graph", a * b)
     return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 

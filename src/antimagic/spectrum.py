@@ -32,6 +32,8 @@ from .graph import Graph
 from .labeling import EdgeLabeling, mirror, sdds_shift_threshold, shift_labeling
 
 DEFAULT_BUDGET = 10
+# The most shifts a window override may sweep; each costs a labeling.
+MAX_SWEEP = 10_000
 
 
 def _plan(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:
@@ -457,6 +459,11 @@ def _sweep(g: Graph, window: tuple[int, int] | None, budget: int) -> SpectrumRep
         sweep_lo, sweep_hi = window
         if sweep_lo > sweep_hi:
             raise BadParameters(f"empty sweep range {sweep_lo}..{sweep_hi}")
+        if sweep_hi - sweep_lo >= MAX_SWEEP:
+            raise BadParameters(
+                f"sweep range {sweep_lo}..{sweep_hi} holds {sweep_hi - sweep_lo + 1} shifts,"
+                f" more than the {MAX_SWEEP} allowed"
+            )
     cache: dict[int, EdgeLabeling | None] = {}
 
     def decided(j: int) -> EdgeLabeling | None:

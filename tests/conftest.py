@@ -52,6 +52,19 @@ def pairing_regular(n: int, d: int, rng: random.Random) -> list[tuple[int, int]]
             return sorted(edges)
 
 
+def disjoint_union(parts: list[tuple[int, list[tuple[int, int]]]], rng: random.Random) -> Graph:
+    """The parts side by side, vertex ids shuffled, so parts interleave."""
+    n = sum(size for size, _ in parts)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges = []
+    base = 0
+    for size, part in parts:
+        edges += [(ids[base + u], ids[base + v]) for u, v in part]
+        base += size
+    return build_graph(n, edges)
+
+
 def k32_fan(c: int) -> tuple[int, list[tuple[int, int]]]:
     """A hub joined to c groups of three, each group complete to two deep
     vertices: level 2 from the hub is c disjoint K(3,2) blocks. All

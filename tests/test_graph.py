@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antimagic import families
 from antimagic.errors import BadParameters, InvalidGraph, ParseError
 from antimagic.families import complete_bipartite, cube, path, star
 from antimagic.graph import (
@@ -164,6 +165,23 @@ def test_layer_subgraphs_rejects_bad_level():
         layer_subgraphs(g, p, 0)
     with pytest.raises(BadParameters, match="layer 3 out of range 1..2"):
         layer_subgraphs(g, p, p.d + 1)
+
+
+def test_family_builders_refuse_more_edges_than_the_cap(monkeypatch):
+    assert families.MAX_EDGES >= 999_999  # p1000000 still builds
+    monkeypatch.setattr(families, "MAX_EDGES", 12)
+    for build, fits, too_big in [
+        (families.path, (13,), (14,)),
+        (families.cycle, (12,), (13,)),
+        (families.star, (12,), (13,)),
+        (families.double_star, (5, 6), (6, 6)),
+        (families.cp3, (6,), (7,)),
+        (families.complete, (5,), (6,)),
+        (families.complete_bipartite, (3, 4), (1, 13)),
+    ]:
+        assert build(*fits).m <= 12
+        with pytest.raises(BadParameters, match=r"edges, more than the 12 allowed$"):
+            build(*too_big)
 
 
 def test_parse_format_round_trip():

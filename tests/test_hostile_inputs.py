@@ -1,10 +1,12 @@
-"""Tiny inputs whose vertex count is out of all proportion to their edges.
+"""Tiny requests whose cost would be out of all proportion to them.
 
 Each request runs as `python -m antimagic` in a child process whose
 address space is capped at 512 MiB. With n > 2m+1 two vertices are
 isolated and share the sum 0, so no shift is feasible; the toolkit must
 say so from the edges alone, exit with its usual status and print no
-traceback. A per-vertex list for n = 10^9 would need gigabytes.
+traceback. A per-vertex list for n = 10^9 would need gigabytes. A sweep
+over two billion shifts, or a family with 10^8 or more edges, must be
+refused before any work starts.
 """
 
 from __future__ import annotations
@@ -30,11 +32,9 @@ def cap_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (CAP, CAP))
 
 
-def run_capped(tmp_path: Path, text: str, *argv: str) -> subprocess.CompletedProcess:
-    graph = tmp_path / "graph.txt"
-    graph.write_text(text)
+def run_capped(*argv: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "antimagic", *argv, "--graph", str(graph)],
+        [sys.executable, "-m", "antimagic", *argv],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         preexec_fn=cap_memory,
         capture_output=True,
@@ -56,7 +56,39 @@ def run_capped(tmp_path: Path, text: str, *argv: str) -> subprocess.CompletedPro
     ids=["construct-k2", "decide-k2", "construct-p4", "decide-p4", "spectrum-k2", "spectrum-p4"],
 )
 def test_huge_vertex_count_is_settled_from_the_edges(tmp_path, text, argv, code, message):
-    proc = run_capped(tmp_path, text, *argv)
+    graph = tmp_path / "graph.txt"
+    graph.write_text(text)
+    proc = run_capped(*argv, "--graph", str(graph))
     assert "Traceback" not in proc.stderr
     assert proc.returncode == code
+    assert proc.stderr.splitlines()[-1] == message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("spectrum", "--family", "p9", "--window=-1000000000:1000000000"),
+            "error: sweep range -1000000000..1000000000 holds 2000000001 shifts,"
+            " more than the 10000 allowed",
+        ),
+        (
+            ("construct", "--family", "complete", "--n", "100000", "--k", "0"),
+            "error: complete graph would have 4999950000 edges, more than the 2000000 allowed",
+        ),
+        (
+            ("construct", "--family", "cycle", "--n", "100000000", "--k", "0"),
+            "error: cycle would have 100000000 edges, more than the 2000000 allowed",
+        ),
+        (
+            ("construct", "--family", "p100000000", "--k", "0"),
+            "error: path would have 99999999 edges, more than the 2000000 allowed",
+        ),
+    ],
+    ids=["spectrum-wide-window", "construct-complete", "construct-cycle", "construct-path"],
+)
+def test_wide_sweeps_and_huge_families_are_refused(argv, message):
+    proc = run_capped(*argv)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
     assert proc.stderr.splitlines()[-1] == message

@@ -41,7 +41,7 @@ from antimagic.graph import (
 )
 from antimagic.labeling import EdgeLabeling
 from antimagic.trails import Trail, TrailDecomposition, find_sigma_and_trails, label_trails
-from conftest import k32_blocks, k32_fan, pairing_regular
+from conftest import disjoint_union, k32_blocks, k32_fan, pairing_regular
 
 # --- verbatim copy of the replaced path --------------------------------------
 # (each name prefixed with seed_, and TrailDecomposition.validate written as
@@ -464,19 +464,6 @@ def seed_construct_odd_degree(g: Graph) -> EdgeLabeling:
 
 
 # --- inputs -------------------------------------------------------------------
-
-
-def disjoint_union(parts: list[tuple[int, list[Edge]]], rng: random.Random) -> Graph:
-    """The parts side by side, vertex ids shuffled."""
-    n = sum(size for size, _ in parts)
-    ids = list(range(n))
-    rng.shuffle(ids)
-    edges = []
-    base = 0
-    for size, part in parts:
-        edges += [(ids[base + u], ids[base + v]) for u, v in part]
-        base += size
-    return build_graph(n, edges)
 
 
 PIECES = ["cubic", "quintic", "k4", "k33", "k8", "k57", "star", "fan", "petersen"]

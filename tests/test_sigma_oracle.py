@@ -16,17 +16,62 @@ from collections.abc import Iterable, Sequence
 from antimagic.errors import InvalidTrails
 from antimagic.families import complete, complete_bipartite, cube, petersen
 from antimagic.graph import Edge, Graph, build_graph, layer_subgraphs, level_partition
-from antimagic.trails import (
-    TrailDecomposition,
-    _classify,
-    _edge_components,
-    _euler_steps,
-    find_sigma_and_trails,
-)
+from antimagic.trails import TrailDecomposition, _classify, find_sigma_and_trails
 from conftest import k32_blocks
 
 # --- verbatim copy of the replaced search -----------------------------------
 # (only its exception class renamed to the one that replaced it)
+
+
+def _edge_components(edges: Sequence[Edge]) -> list[list[Edge]]:
+    """Group edges by connected component, components ordered by least vertex."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    comp_of: dict[int, int] = {}
+    count = 0
+    for start in sorted(adj):
+        if start in comp_of:
+            continue
+        comp_of[start] = count
+        stack = [start]
+        while stack:
+            w = stack.pop()
+            for nb in adj[w]:
+                if nb not in comp_of:
+                    comp_of[nb] = count
+                    stack.append(nb)
+        count += 1
+    out: list[list[Edge]] = [[] for _ in range(count)]
+    for e in edges:
+        out[comp_of[e[0]]].append(e)
+    return out
+
+
+def _euler_steps(
+    adj: dict[int, list[tuple[int, int]]], start: int, edge_count: int
+) -> list[tuple[int, int, int]]:
+    """Closed walk using every edge once, as (from, edge id, to) steps."""
+    ptr = {v: 0 for v in adj}
+    used = [False] * edge_count
+    stack: list[tuple[int, int | None, int | None]] = [(start, None, None)]
+    popped: list[tuple[int, int | None, int | None]] = []
+    while stack:
+        v = stack[-1][0]
+        lst = adj[v]
+        i = ptr[v]
+        while i < len(lst) and used[lst[i][1]]:
+            i += 1
+        ptr[v] = i
+        if i == len(lst):
+            popped.append(stack.pop())
+        else:
+            nbr, eid = lst[i]
+            used[eid] = True
+            stack.append((nbr, eid, v))
+    popped.reverse()
+    return [(frm, eid, v) for v, eid, frm in popped if eid is not None]
 
 
 def _open_trail_split(edges: Sequence[Edge]) -> list[list[int]] | None:

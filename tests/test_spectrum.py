@@ -24,6 +24,7 @@ from antimagic.spectrum import (
     ALL_SHIFTS,
     DEFAULT_BUDGET,
     FAMILIES,
+    MAX_SWEEP,
     AllShifts,
     closed_form_spectrum,
     decide,
@@ -198,6 +199,12 @@ def test_spectrum_override_sweeps_windowless_graphs():
 def test_spectrum_rejects_empty_override():
     with pytest.raises(BadParameters):
         spectrum(path(4), window=(2, 1))
+
+
+def test_spectrum_rejects_override_wider_than_the_cap():
+    assert len(spectrum(path(4), window=(1, MAX_SWEEP)).entries) == MAX_SWEEP
+    with pytest.raises(BadParameters, match=rf"^sweep range 0\.\.{MAX_SWEEP} holds {MAX_SWEEP + 1} shifts"):
+        spectrum(path(4), window=(0, MAX_SWEEP))
 
 
 def test_spectrum_report_dict_shape():
