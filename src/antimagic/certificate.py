@@ -9,7 +9,8 @@ that disagree make the certificate invalid.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice, starmap
+from operator import itemgetter, lt
 
 from .errors import CertificateError, InvalidGraph
 from .graph import Graph, _canonical_edges
@@ -69,6 +70,10 @@ def certificate_to_labeling(doc: object) -> tuple[EdgeLabeling, int]:
     Labels are matched to the edges positionally as written in the
     document, then realigned to canonical order. Raises CertificateError
     on any structural problem.
+
+    Edges written as the toolkit writes them, each [u, v] with
+    0 <= u < v < n and strictly ascending, are taken as they stand after a
+    few bulk passes; any other list goes through the full validation.
     """
     if not isinstance(doc, dict):
         raise CertificateError("certificate must be a JSON object")
@@ -82,6 +87,16 @@ def certificate_to_labeling(doc: object) -> tuple[EdgeLabeling, int]:
         raise CertificateError("field 'labels' must be a list of integers")
     if len(labels) != len(edges):
         raise CertificateError(f"{len(labels)} labels for {len(edges)} edges")
+    if (
+        edges
+        and edges[0][0] >= 0  # ascending, so the least u comes first
+        and all(starmap(lt, edges))
+        and all(map(lt, edges, islice(edges, 1, None)))
+        and max(map(itemgetter(1), edges)) < n
+    ):
+        # canonical, distinct and in canonical order already
+        g = Graph(n, tuple(map(tuple, edges)))
+        return EdgeLabeling(g, tuple(labels), base=k), k
     try:
         canon = _canonical_edges(n, edges)
     except InvalidGraph as exc:

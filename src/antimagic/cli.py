@@ -16,6 +16,8 @@ import functools
 import json
 import re
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .certificate import _check_certificate, labeling_to_certificate
 from .constructors import p3_threshold
@@ -62,12 +64,77 @@ def _read_text(path: str) -> str:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Write `json.dumps(doc, indent=2, sort_keys=True)` and a newline to
+    stdout or to the file `out`, piece by piece."""
     if out is None:
-        sys.stdout.write(text)
+        _write_json(doc, sys.stdout)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_json(doc, fh)
+
+
+def _write_json(doc: dict, fh) -> None:
+    fh.writelines(_json_pieces(doc, "\n"))
+    fh.write("\n")
+
+
+def _json_pieces(value: object, nl: str):
+    """The text of `json.dumps(value, indent=2, sort_keys=True)`, nested
+    where `nl` (a newline and the indentation) starts each line, in pieces.
+
+    A list of plain ints or of [u, v] plain-int pairs, the bulk of a
+    certificate, becomes one string per element joined once. Dicts with
+    str keys and other lists are walked; a str, a plain int, a bool and
+    None are written directly; anything else (a float, a tuple, a dict
+    with a non-str key) is left to json.dumps, whose text has no raw
+    newline but those between its lines.
+    """
+    kind = type(value)
+    if kind is str:
+        yield encode_basestring_ascii(value)
+    elif kind is int:
+        yield int.__repr__(value)
+    elif value is None:
+        yield "null"
+    elif kind is bool:
+        yield "true" if value else "false"
+    elif kind is dict and set(map(type, value)) <= {str}:
+        if not value:
+            yield "{}"
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            yield sep + encode_basestring_ascii(key) + ": "
+            yield from _json_pieces(value[key], inner)
+            sep = "," + inner
+        yield nl + "}"
+    elif kind is list:
+        if not value:
+            yield "[]"
+            return
+        inner = nl + "  "
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            yield "[" + inner
+            yield ("," + inner).join(map(int.__repr__, value))
+        elif (
+            kinds == {list}
+            and set(map(len, value)) == {2}
+            and set(map(type, chain.from_iterable(value))) == {int}
+        ):
+            deeper = inner + "  "
+            yield "[" + inner
+            yield ("," + inner).join([f"[{deeper}{u},{deeper}{v}{inner}]" for u, v in value])
+        else:
+            sep = "[" + inner
+            for item in value:
+                yield sep
+                yield from _json_pieces(item, inner)
+                sep = "," + inner
+        yield nl + "]"
+    else:
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", nl)
 
 
 def _build_family(args: argparse.Namespace) -> tuple[Graph, tuple[str, dict]]:
@@ -298,6 +365,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     except AntimagicError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_ERROR
 
 

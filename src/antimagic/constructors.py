@@ -17,7 +17,7 @@ from itertools import accumulate, count
 from .errors import BadParameters, WrongGraphClass
 from .families import cp3, double_star, p5prime, path, star, two_p4, two_s3
 from .graph import Edge, Graph, _component_vertices, _root
-from .labeling import EdgeLabeling, mirror, shift_labeling
+from .labeling import EdgeLabeling, mirror
 from .trails import find_sigma_and_trails, label_trails
 
 
@@ -178,6 +178,12 @@ def _strong_path_labels(n: int) -> list[int]:
     return [1] + [n + 1 - i for i in range(2, n)]
 
 
+# Each family constructor below delegates to a private body that takes the
+# family graph as an optional last argument: the family registry passes
+# the graph it has already built, and the body builds one only when given
+# none, so every family request labels a single graph.
+
+
 def construct_path_strong(n: int) -> EdgeLabeling:
     """Label a path with 1..n-1 so sums grow strictly with degree."""
     if n < 3:
@@ -193,22 +199,29 @@ def construct_path_shifted(n: int, k: int) -> EdgeLabeling:
     zero-labeled edge into a negated prefix and a strong suffix. Anything
     lower is the mirror image of one of those.
     """
+    return _path_shifted(n, k)
+
+
+def _path_shifted(n: int, k: int, g: Graph | None = None) -> EdgeLabeling:
     if n < 6:
         raise BadParameters(f"the every-shift construction needs n >= 6, got {n}")
+    if g is None:
+        g = path(n)
 
     def upper(j: int) -> EdgeLabeling:
         if j >= 0:
-            return shift_labeling(construct_path_strong(n), j)
+            # the strong labeling, shifted by j
+            return EdgeLabeling(g, tuple(lab + j for lab in _strong_path_labels(n)), base=j)
         if j == -2:
             if n % 2 == 1:
                 labels = [-1, 1, 0] + [i - 2 for i in range(4, n)]
             else:
                 labels = [0, -1] + [n - i for i in range(3, n)]
-            return EdgeLabeling(path(n), tuple(labels), base=-2)
+            return EdgeLabeling(g, tuple(labels), base=-2)
         q = -j
         head = [-lab for lab in _strong_path_labels(q)] if q >= 3 else []
         tail = _strong_path_labels(n - q)
-        return EdgeLabeling(path(n), tuple(head + [0] + tail), base=j)
+        return EdgeLabeling(g, tuple(head + [0] + tail), base=j)
 
     return mirror(upper, n - 1, k)
 
@@ -219,12 +232,18 @@ def construct_star(leaves: int, k: int) -> EdgeLabeling | None:
     Every labeling gives the center the same sum, so the shift is
     infeasible exactly when that sum lands inside the label range.
     """
+    return _star(leaves, k)
+
+
+def _star(leaves: int, k: int, g: Graph | None = None) -> EdgeLabeling | None:
     if leaves < 2:
         raise BadParameters(f"need at least two leaves, got {leaves}")
     center = leaves * k + leaves * (leaves + 1) // 2
     if k + 1 <= center <= k + leaves:
         return None
-    return EdgeLabeling(star(leaves), tuple(range(k + 1, k + leaves + 1)), base=k)
+    return EdgeLabeling(
+        star(leaves) if g is None else g, tuple(range(k + 1, k + leaves + 1)), base=k
+    )
 
 
 def _deal(labels_desc: list[int], count_a: int, count_b: int) -> tuple[list[int], list[int]]:
@@ -300,7 +319,12 @@ def construct_double_star(a: int, b: int, k: int) -> EdgeLabeling | None:
     more leaves every shift works; a single-leaf center misses one or two
     shifts near the mirror axis.
     """
-    g = double_star(a, b)  # raises BadParameters unless a, b >= 1
+    return _double_star(a, b, k)
+
+
+def _double_star(a: int, b: int, k: int, g: Graph | None = None) -> EdgeLabeling | None:
+    if g is None:
+        g = double_star(a, b)  # raises BadParameters unless a, b >= 1
 
     def upper(j: int) -> EdgeLabeling | None:
         plan = _double_star_plan(max(a, b), min(a, b), j, g.m)
@@ -344,7 +368,12 @@ def construct_cp3(c: int, k: int) -> EdgeLabeling:
     of the excluded band are impossible, and anything lower is reached by
     negating this construction (`mirror`); both are the caller's business.
     """
-    g = cp3(c)  # raises BadParameters unless c >= 1
+    return _cp3(c, k)
+
+
+def _cp3(c: int, k: int, g: Graph | None = None) -> EdgeLabeling:
+    if g is None:
+        g = cp3(c)  # raises BadParameters unless c >= 1
     if k < c // 2:
         raise BadParameters(f"direct construction needs k >= {c // 2}, got {k}")
     t = k - c // 2
@@ -355,20 +384,23 @@ def construct_cp3(c: int, k: int) -> EdgeLabeling:
     return EdgeLabeling.from_dict(g, mapping, base=k)
 
 
-def _tabled(
-    build: Callable[[], Graph],
-    m: int,
-    start: int,
-    offsets: tuple[int, ...],
-    fixed: dict[int, tuple[int, ...]],
-    k: int,
-) -> EdgeLabeling | None:
-    """k-shifted labeling of a fixed m-edge graph from a table, or None.
+# A fixed small graph's labelings by table: its builder, its edge count
+# m, and on the upper half 2k >= -(m+1), the first shift `start` from
+# which labels are k plus `offsets`, and the labels of the shifts in
+# `fixed` below it; every other shift there is infeasible.
+_TABLES: dict[str, tuple[Callable[[], Graph], int, int, tuple, dict]] = {
+    "two_p4": (two_p4, 6, -1, (1, 5, 2, 3, 6, 4), {-3: (-2, -1, 0, 2, 3, 1)}),
+    "two_s3": (two_s3, 6, -1, (1, 3, 6, 2, 4, 5), {-3: (-2, -1, 0, 1, 2, 3)}),
+    # canonical edge order: the four path edges interleaved with the
+    # pendant edge at the middle vertex
+    "p5prime": (p5prime, 5, 0, (2, 4, 5, 1, 3), {-1: (1, 3, 4, 0, 2), -2: (3, 2, 1, -1, 0)}),
+}
 
-    On the upper half 2k >= -(m+1), shifts from `start` up add k to
-    `offsets`, the shifts in `fixed` take their listed labels, and every
-    other shift is infeasible; `mirror` covers the lower half.
-    """
+
+def _tabled(name: str, k: int, g: Graph | None = None) -> EdgeLabeling | None:
+    """k-shifted labeling of the fixed graph `name` from its table, or
+    None; `mirror` covers the lower half."""
+    build, m, start, offsets, fixed = _TABLES[name]
 
     def upper(j: int) -> EdgeLabeling | None:
         if j >= start:
@@ -377,30 +409,24 @@ def _tabled(
             labels = fixed[j]
         else:
             return None
-        return EdgeLabeling(build(), labels, base=j)
+        return EdgeLabeling(build() if g is None else g, labels, base=j)
 
     return mirror(upper, m, k)
 
 
 def construct_two_p4(k: int) -> EdgeLabeling | None:
     """k-shifted labeling of two disjoint four-vertex paths, or None."""
-    return _tabled(two_p4, 6, -1, (1, 5, 2, 3, 6, 4), {-3: (-2, -1, 0, 2, 3, 1)}, k)
+    return _tabled("two_p4", k)
 
 
 def construct_two_s3(k: int) -> EdgeLabeling | None:
     """k-shifted labeling of two disjoint three-leaf stars, or None."""
-    return _tabled(two_s3, 6, -1, (1, 3, 6, 2, 4, 5), {-3: (-2, -1, 0, 1, 2, 3)}, k)
+    return _tabled("two_s3", k)
 
 
 def construct_p5prime(k: int) -> EdgeLabeling | None:
-    """k-shifted labeling of the five-vertex path with an extra middle leaf.
-
-    Labels are in canonical edge order: the four path edges interleaved
-    with the pendant edge at the middle vertex.
-    """
-    return _tabled(
-        p5prime, 5, 0, (2, 4, 5, 1, 3), {-1: (1, 3, 4, 0, 2), -2: (3, 2, 1, -1, 0)}, k
-    )
+    """k-shifted labeling of the five-vertex path with an extra middle leaf."""
+    return _tabled("p5prime", k)
 
 
 def p3_threshold(m: int) -> int:

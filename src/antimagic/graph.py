@@ -87,9 +87,11 @@ def _canonical_edges(n: int, edges) -> list[Edge]:
     """The canonical form of each edge, in input order, validated as
     build_graph documents.
 
-    A list or tuple of edges is checked in bulk first; only when that
-    check fails (or for any other iterable) does the edge-by-edge loop
-    run, so the first faulty edge in input order raises as it always has.
+    A list or tuple of edges is checked in bulk first, and an edge that is
+    already a plain tuple (u, v) with u < v is kept as it is, not copied:
+    a graph shares such edges with its input. Only when that check fails
+    (or for any other iterable) does the edge-by-edge loop run, so the
+    first faulty edge in input order raises as it always has.
     """
     if n < 0:
         raise InvalidGraph(f"vertex count {n} is negative")
@@ -97,8 +99,11 @@ def _canonical_edges(n: int, edges) -> list[Edge]:
         try:
             # a loop or an endpoint out of range canonicalizes to None
             canon = [
-                (u, v) if 0 <= u < v < n else (v, u) if 0 <= v < u < n else None
-                for u, v in edges
+                (e if type(e) is tuple else (u, v))
+                if 0 <= u < v < n
+                else (v, u) if 0 <= v < u < n else None
+                for e in edges
+                for u, v in (e,)
             ]
             distinct = set(canon)
             if len(distinct) == len(canon) and None not in distinct:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from itertools import repeat
+from operator import add, mul
 
 from .errors import BadParameters, InvalidLabeling
 from .graph import Edge, Graph, canonical_edge
@@ -111,13 +113,18 @@ def _shifted_verdict(f: EdgeLabeling, k: int, sums: list[int] | None = None) -> 
     vertices touch an edge, so two of vertices 0..2m+1 are isolated and
     share the sum 0, the first collision lies in that prefix, and a huge
     n costs nothing. The scan of all n sums finds that same collision.
-    Set comparisons accept; the scans run only to name the first violation.
+    The least and greatest label and one set accept (m distinct labels in
+    [lo, hi] are exactly lo..hi); the scans run only to name the first
+    violation.
     """
     g = f.graph
     lo, hi = k + 1, k + g.m
-    if len(f.labels) != g.m or set(f.labels) != set(range(lo, hi + 1)):
+    labels = f.labels
+    if len(labels) != g.m or (
+        labels and (min(labels) != lo or max(labels) != hi or len(set(labels)) != g.m)
+    ):
         seen: dict[int, int] = {}
-        for i, lab in enumerate(f.labels):
+        for i, lab in enumerate(labels):
             if lab in seen:
                 first = g.edges[seen[lab]]
                 return Verdict.reject(
@@ -126,7 +133,7 @@ def _shifted_verdict(f: EdgeLabeling, k: int, sums: list[int] | None = None) -> 
                     f"label {lab} used on both {first} and {g.edges[i]}",
                 )
             seen[lab] = i
-        for i, lab in enumerate(f.labels):
+        for i, lab in enumerate(labels):
             if not (lo <= lab <= hi):
                 return Verdict.reject(
                     "label-out-of-range",
@@ -187,7 +194,9 @@ def is_sdds(f: EdgeLabeling) -> Verdict:
     _require_one_to_m(f)
     sums = vertex_sums(f)
     deg = f.graph.degrees()
-    if len(set(zip(deg, sums))) < len(sums):
+    # each (degree, sum) as the one int sum * width + degree, as 0 <= degree < width
+    width = f.graph.max_degree() + 1
+    if len(set(map(add, map(mul, sums, repeat(width)), deg))) < len(sums):
         u, v = _first_repeat(zip(deg, sums))
         s = sums[v]
         return Verdict.reject(

@@ -17,15 +17,13 @@ from itertools import chain
 
 from . import families
 from .constructors import (
-    construct_cp3,
-    construct_double_star,
+    _cp3,
+    _double_star,
+    _path_shifted,
+    _star,
+    _tabled,
     construct_forest_sdds,
     construct_odd_degree,
-    construct_p5prime,
-    construct_path_shifted,
-    construct_star,
-    construct_two_p4,
-    construct_two_s3,
 )
 from .errors import BadParameters, BudgetExceeded, NoSddsFound, WrongGraphClass
 from .graph import Graph
@@ -552,25 +550,25 @@ def _construct_path(k: int, g: Graph, budget: int, n: int) -> EdgeLabeling | Non
     if n == 2:
         return None
     if n >= 6:
-        return construct_path_shifted(n, k)
+        return _path_shifted(n, k, g)
     return decide(g, k, budget)
 
 
 def _construct_cp3(k: int, g: Graph, budget: int, c: int) -> EdgeLabeling | None:
     # from c//2 down to the mirror axis lies the excluded band
-    return mirror(lambda j: construct_cp3(c, j) if j >= c // 2 else None, g.m, k)
+    return mirror(lambda j: _cp3(c, j, g) if j >= c // 2 else None, g.m, k)
 
 
 class Family(namedtuple("Family", "params build construct excluded", defaults=(None, None))):
     """A graph family known by name, built by `build(**params)`.
 
     `params` names the keyword parameters. `construct(k, g=graph,
-    budget=budget, **params)` returns a k-shifted labeling of the built
-    graph or None when k is infeasible; `excluded(**params)` gives the
-    closed-form infeasible shifts, and raises BadParameters on a parameter
-    out of range or None. Either may be None where the family has none.
-    Entries call builders and constructors through their modules, so a
-    function rebound there is the one called.
+    budget=budget, **params)` returns a k-shifted labeling of that very
+    graph (`f.graph is g`) or None when k is infeasible;
+    `excluded(**params)` gives the closed-form infeasible shifts, and
+    raises BadParameters on a parameter out of range or None. Either may
+    be None where the family has none. Entries call builders through
+    their module, so a function rebound there is the one called.
     """
 
     __slots__ = ()
@@ -582,32 +580,32 @@ FAMILIES: dict[str, Family] = {
     "star": Family(
         ("n",),
         lambda n: families.star(n),
-        lambda k, n, **_: None if n == 1 else construct_star(n, k),
+        lambda k, g, n, **_: None if n == 1 else _star(n, k, g),
         _star_excluded,
     ),
     "double_star": Family(
         ("a", "b"),
         lambda a, b: families.double_star(a, b),
-        lambda k, a, b, **_: construct_double_star(a, b, k),
+        lambda k, g, a, b, **_: _double_star(a, b, k, g),
         _double_star_excluded,
     ),
     "cp3": Family(("c",), lambda c: families.cp3(c), _construct_cp3, _cp3_excluded),
     "two_p4": Family(
         (),
         lambda: families.two_p4(),
-        lambda k, **_: construct_two_p4(k),
+        lambda k, g, **_: _tabled("two_p4", k, g),
         lambda: frozenset({-5, -2}),
     ),
     "two_s3": Family(
         (),
         lambda: families.two_s3(),
-        lambda k, **_: construct_two_s3(k),
+        lambda k, g, **_: _tabled("two_s3", k, g),
         lambda: frozenset({-5, -2}),
     ),
     "p5prime": Family(
         (),
         lambda: families.p5prime(),
-        lambda k, **_: construct_p5prime(k),
+        lambda k, g, **_: _tabled("p5prime", k, g),
         lambda: frozenset({-3}),
     ),
     "cycle": Family(("n",), lambda n: families.cycle(n)),

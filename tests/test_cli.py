@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antimagic import cli
 from antimagic.cli import main
@@ -318,3 +322,67 @@ def test_shared_parser_answers_like_a_fresh_one(capsys):
         for argv, want in zip(REUSE_REQUESTS, fresh):
             assert outcome(capsys, argv) == want
     assert cli._build_parser.cache_info().misses == 1
+
+
+def test_memory_error_ends_in_one_error_line(monkeypatch, capsys):
+    def exhausted(edges):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "p3_threshold", exhausted)
+    code, out, err = run_cli(capsys, "threshold-p3", "--edges", "5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
+# --- the emitter writes exactly what json.dumps would ---------------------
+
+texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8) | st.sampled_from(
+    ["", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é ∑ 𝄞", "</script>"]
+)
+ints = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
+scalars = st.none() | st.booleans() | ints | texts | st.floats()
+pairs = st.lists(st.lists(ints, min_size=2, max_size=2), max_size=5)
+
+
+def json_docs():
+    leaves = scalars | st.lists(ints, max_size=5) | pairs
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(st.dictionaries(texts, inner, max_size=3), max_size=3)
+        | st.dictionaries(texts, inner, max_size=4)
+        | st.dictionaries(st.integers(-5, 5), inner, max_size=3)  # the fallback
+        | st.tuples(inner, inner),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(texts, json_docs(), max_size=5))
+def test_emit_writes_what_json_dumps_writes(doc):
+    want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        cli._emit(doc, None)
+    assert buf.getvalue() == want
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "doc.json")
+        cli._emit(doc, target)
+        with open(target, encoding="utf-8", newline="") as fh:
+            assert fh.read() == want
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        {"a": [], "b": {}, "c": [[]], "d": [{}], "e": {"f": []}},
+        {"edges": [[0, 1], [1, 2]], "labels": [-1, 0, 2**80], "valid": True, "x": None},
+        {"shifts": [{"k": -1, "labels": [1, 2]}, {"k": 0, "labels": None}]},
+        {"pairs": [[True, 1], [0, 1.5], [0, 1, 2], (0, 1)], "t": (1, [2, {"z": 3}])},
+        {"keys": {1: "a", 2: {"b": [3]}}, "floats": [0.5, float("inf"), float("nan")]},
+    ],
+)
+def test_emit_matches_json_dumps_on_edge_cases(doc, capsys):
+    cli._emit(doc, None)
+    assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -14,6 +15,7 @@ from antimagic.errors import BadParameters, InvalidGraph, ParseError
 from antimagic.families import complete_bipartite, cube, path, star
 from antimagic.graph import (
     Graph,
+    _canonical_edges,
     build_graph,
     canonical_edge,
     components,
@@ -349,3 +351,105 @@ def test_build_graph_matches_the_edge_by_edge_loop(case):
         edges = list(edges)
         assert outcome(build_graph, n, iter(edges)) == outcome(seed_build_graph, n, edges)
     assert outcome(build_graph, n, edges) == outcome(seed_build_graph, n, edges)
+
+
+# --- canonical input edges are shared, not copied -------------------------
+
+
+def seed_canonical_edges(n: int, edges) -> list:
+    """graph._canonical_edges as it was before it kept canonical input
+    tuples (verbatim)."""
+    if n < 0:
+        raise InvalidGraph(f"vertex count {n} is negative")
+    if isinstance(edges, (list, tuple)):
+        try:
+            # a loop or an endpoint out of range canonicalizes to None
+            canon = [
+                (u, v) if 0 <= u < v < n else (v, u) if 0 <= v < u < n else None
+                for u, v in edges
+            ]
+            distinct = set(canon)
+            if len(distinct) == len(canon) and None not in distinct:
+                return canon
+        except (TypeError, ValueError):  # the loop names the faulty edge
+            pass
+    canon = []
+    seen: set = set()
+    for u, v in edges:
+        if u == v:
+            raise InvalidGraph(f"edge ({u}, {v}) is a loop")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidGraph(f"edge ({u}, {v}) leaves vertex range [0, {n})")
+        e = canonical_edge(u, v)
+        if e in seen:
+            raise InvalidGraph(f"edge {e} appears more than once")
+        seen.add(e)
+        canon.append(e)
+    return canon
+
+
+class Pair(tuple):
+    """A tuple subclass, which a graph must not keep as an edge."""
+
+
+def test_build_graph_keeps_canonical_plain_tuples():
+    edges = [(0, 1), (0, 3), (1, 2), (2, 3)]
+    g = build_graph(4, edges)
+    assert all(g.edges[i] is edges[i] for i in range(len(edges)))
+    assert all(e is edges[i] for i, e in enumerate(_canonical_edges(4, tuple(edges))))
+
+
+def test_build_graph_copies_reversed_edges_lists_and_subclasses():
+    edges = [(1, 0), [1, 2], Pair((2, 3)), Pair((4, 3)), (0, 4)]
+    g = build_graph(5, edges)
+    assert g.edges == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
+    assert all(type(e) is tuple for e in g.edges)
+    assert not any(e is x for e in g.edges for x in edges[:4])
+    assert g.edges[1] is edges[4]
+
+
+@st.composite
+def mixed_edge_lists(draw):
+    """Edge lists mixing plain tuples, reversed tuples, 2-lists and tuple
+    subclasses, with loops, repeats in either order and endpoints out of
+    range."""
+    n = draw(st.integers(0, 9))
+    vertex = st.integers(-2, n + 2)
+    shapes = st.sampled_from([tuple, list, Pair, "reversed"])
+    edges = []
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=14)):
+        shape = draw(shapes)
+        if draw(st.integers(0, 5)) == 0 and edges:  # a repeat, in either order
+            u, v = draw(st.sampled_from(edges))[:: draw(st.sampled_from([1, -1]))]
+        if shape == "reversed":
+            edges.append((max(u, v), min(u, v)))
+        else:
+            edges.append(shape((u, v)))
+    container = draw(st.sampled_from([list, tuple]))
+    return n, container(edges)
+
+
+@settings(max_examples=400)
+@given(mixed_edge_lists())
+def test_canonical_edges_fail_as_before_and_share_what_they_keep(case):
+    n, edges = case
+    got = outcome(_canonical_edges, n, edges)
+    assert got == outcome(seed_canonical_edges, n, edges)
+    if got[0] == "ok":
+        for e, given_edge in zip(got[1], edges):
+            assert type(e) is tuple
+            assert (e is given_edge) == (type(given_edge) is tuple and e == given_edge)
+
+
+def test_graph_from_canonical_tuples_keeps_under_16_bytes_per_edge():
+    m = 100_000
+    edges = [(i, i + 1) for i in range(m)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = build_graph(m + 1, edges)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.m == m
+    assert kept < 16 * m

@@ -6,7 +6,8 @@ isolated and share the sum 0, so no shift is feasible; the toolkit must
 say so from the edges alone, exit with its usual status and print no
 traceback. A per-vertex list for n = 10^9 would need gigabytes. A sweep
 over two billion shifts, or a family with 10^8 or more edges, must be
-refused before any work starts.
+refused before any work starts. A request that is admitted but outgrows
+the cap must end in one error line.
 """
 
 from __future__ import annotations
@@ -84,8 +85,16 @@ def test_huge_vertex_count_is_settled_from_the_edges(tmp_path, text, argv, code,
             ("construct", "--family", "p100000000", "--k", "0"),
             "error: path would have 99999999 edges, more than the 2000000 allowed",
         ),
+        # 10,000 lemma certificates of 1,999 labels each: admitted, past the cap
+        (("spectrum", "--family", "p2000", "--window=2000:11999"), "error: out of memory"),
     ],
-    ids=["spectrum-wide-window", "construct-complete", "construct-cycle", "construct-path"],
+    ids=[
+        "spectrum-wide-window",
+        "construct-complete",
+        "construct-cycle",
+        "construct-path",
+        "spectrum-past-the-cap",
+    ],
 )
 def test_wide_sweeps_and_huge_families_are_refused(argv, message):
     proc = run_capped(*argv)

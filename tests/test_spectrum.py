@@ -11,6 +11,15 @@ from pathlib import Path
 
 import pytest
 
+from antimagic.constructors import (
+    construct_cp3,
+    construct_double_star,
+    construct_p5prime,
+    construct_path_shifted,
+    construct_star,
+    construct_two_p4,
+    construct_two_s3,
+)
 from antimagic.errors import BadParameters, BudgetExceeded, NoSddsFound
 from antimagic.families import complete, cp3, path, petersen, star
 from antimagic.graph import build_graph
@@ -18,6 +27,7 @@ from antimagic.labeling import (
     EdgeLabeling,
     is_sdds,
     is_strongly_antimagic,
+    mirror,
     verify_shifted,
 )
 from antimagic.spectrum import (
@@ -314,6 +324,50 @@ def test_registry_constructions_agree_with_closed_forms():
                 else:
                     assert verify_shifted(f, k), (name, params, k)
                     assert k not in excluded, (name, params, k)
+
+
+def public_constructor(name, params, k):
+    """The family's public constructor, as a caller outside the registry
+    calls it."""
+    if name == "path":
+        return construct_path_shifted(params["n"], k)
+    if name == "star":
+        return construct_star(params["n"], k)
+    if name == "double_star":
+        return construct_double_star(params["a"], params["b"], k)
+    if name == "cp3":
+        c = params["c"]
+        return mirror(lambda j: construct_cp3(c, j) if j >= c // 2 else None, 2 * c, k)
+    return {"two_p4": construct_two_p4, "two_s3": construct_two_s3, "p5prime": construct_p5prime}[
+        name
+    ](k)
+
+
+@pytest.mark.parametrize(
+    "name, grid",
+    [
+        ("path", [{"n": n} for n in range(6, 41)]),
+        ("star", [{"n": n} for n in range(2, 13)]),
+        ("double_star", [{"a": a, "b": b} for a in range(1, 6) for b in range(1, 6)]),
+        ("cp3", [{"c": c} for c in range(1, 8)]),
+        ("two_p4", [{}]),
+        ("two_s3", [{}]),
+        ("p5prime", [{}]),
+    ],
+)
+def test_registry_constructions_label_the_graph_they_are_handed(name, grid):
+    fam = FAMILIES[name]
+    for params in grid:
+        g = fam.build(**params)
+        # -2 and the mirrored side, below the axis 2k = -(m+1), included
+        for k in range(-g.m - 4, 5):
+            f = fam.construct(k, g=g, budget=DEFAULT_BUDGET, **params)
+            expected = public_constructor(name, params, k)
+            if f is None:
+                assert expected is None, (name, params, k)
+                continue
+            assert f.graph is g, (name, params, k)
+            assert f == expected, (name, params, k)
 
 
 def test_all_shifts_contains_everything():
