@@ -195,11 +195,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         raise AntimagicError(
             "internal error: constructed labeling failed verification"
         )
+    m = g.m
+    del g, f  # the document holds every edge again: free the graph before the emit
     _emit(doc, args.out)
-    print(
-        f"feasible: labels {args.k + 1}..{args.k + g.m} placed on {g.m} edges",
-        file=sys.stderr,
-    )
+    print(f"feasible: labels {args.k + 1}..{args.k + m} placed on {m} edges", file=sys.stderr)
     return EXIT_OK
 
 

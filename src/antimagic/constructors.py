@@ -5,7 +5,9 @@ Two general-purpose builders return same-degree-distinct-sum labelings
 far enough makes every vertex sum distinct. The family-specific builders
 (paths, stars, double stars, copies of the three-vertex path, and a few
 small sporadic graphs) return a labeling for an exact shift k, or None
-when that shift is provably infeasible for the family.
+when that shift is provably infeasible for the family. Each takes the
+family graph to label as an optional keyword `g`, used as is; without it,
+the constructor builds the graph itself.
 """
 
 from __future__ import annotations
@@ -178,12 +180,6 @@ def _strong_path_labels(n: int) -> list[int]:
     return [1] + [n + 1 - i for i in range(2, n)]
 
 
-# Each family constructor below delegates to a private body that takes the
-# family graph as an optional last argument: the family registry passes
-# the graph it has already built, and the body builds one only when given
-# none, so every family request labels a single graph.
-
-
 def construct_path_strong(n: int) -> EdgeLabeling:
     """Label a path with 1..n-1 so sums grow strictly with degree."""
     if n < 3:
@@ -191,7 +187,7 @@ def construct_path_strong(n: int) -> EdgeLabeling:
     return EdgeLabeling(path(n), tuple(_strong_path_labels(n)), base=0)
 
 
-def construct_path_shifted(n: int, k: int) -> EdgeLabeling:
+def construct_path_shifted(n: int, k: int, *, g: Graph | None = None) -> EdgeLabeling:
     """A k-shifted labeling of the path on n >= 6 vertices, any integer k.
 
     Nonnegative shifts lift the strong labeling. Shifts down to -(n//2)
@@ -199,10 +195,6 @@ def construct_path_shifted(n: int, k: int) -> EdgeLabeling:
     zero-labeled edge into a negated prefix and a strong suffix. Anything
     lower is the mirror image of one of those.
     """
-    return _path_shifted(n, k)
-
-
-def _path_shifted(n: int, k: int, g: Graph | None = None) -> EdgeLabeling:
     if n < 6:
         raise BadParameters(f"the every-shift construction needs n >= 6, got {n}")
     if g is None:
@@ -226,16 +218,12 @@ def _path_shifted(n: int, k: int, g: Graph | None = None) -> EdgeLabeling:
     return mirror(upper, n - 1, k)
 
 
-def construct_star(leaves: int, k: int) -> EdgeLabeling | None:
+def construct_star(leaves: int, k: int, *, g: Graph | None = None) -> EdgeLabeling | None:
     """k-shifted labeling of a star, or None when that k is impossible.
 
     Every labeling gives the center the same sum, so the shift is
     infeasible exactly when that sum lands inside the label range.
     """
-    return _star(leaves, k)
-
-
-def _star(leaves: int, k: int, g: Graph | None = None) -> EdgeLabeling | None:
     if leaves < 2:
         raise BadParameters(f"need at least two leaves, got {leaves}")
     center = leaves * k + leaves * (leaves + 1) // 2
@@ -312,17 +300,15 @@ def _double_star_plan(
     return 0, asc[small:], asc[:small]
 
 
-def construct_double_star(a: int, b: int, k: int) -> EdgeLabeling | None:
+def construct_double_star(
+    a: int, b: int, k: int, *, g: Graph | None = None
+) -> EdgeLabeling | None:
     """k-shifted labeling of the double star with a and b leaves, or None.
 
     The leaf counts decide everything: with both centers holding two or
     more leaves every shift works; a single-leaf center misses one or two
     shifts near the mirror axis.
     """
-    return _double_star(a, b, k)
-
-
-def _double_star(a: int, b: int, k: int, g: Graph | None = None) -> EdgeLabeling | None:
     if g is None:
         g = double_star(a, b)  # raises BadParameters unless a, b >= 1
 
@@ -359,7 +345,7 @@ def _cp3_pairs(c: int) -> list[tuple[int, int]]:
     return out
 
 
-def construct_cp3(c: int, k: int) -> EdgeLabeling:
+def construct_cp3(c: int, k: int, *, g: Graph | None = None) -> EdgeLabeling:
     """k-shifted labeling of c disjoint three-vertex paths, for k >= c//2.
 
     Component i gets one label pair, smaller value on its first edge, so
@@ -368,10 +354,6 @@ def construct_cp3(c: int, k: int) -> EdgeLabeling:
     of the excluded band are impossible, and anything lower is reached by
     negating this construction (`mirror`); both are the caller's business.
     """
-    return _cp3(c, k)
-
-
-def _cp3(c: int, k: int, g: Graph | None = None) -> EdgeLabeling:
     if g is None:
         g = cp3(c)  # raises BadParameters unless c >= 1
     if k < c // 2:
@@ -414,19 +396,19 @@ def _tabled(name: str, k: int, g: Graph | None = None) -> EdgeLabeling | None:
     return mirror(upper, m, k)
 
 
-def construct_two_p4(k: int) -> EdgeLabeling | None:
+def construct_two_p4(k: int, *, g: Graph | None = None) -> EdgeLabeling | None:
     """k-shifted labeling of two disjoint four-vertex paths, or None."""
-    return _tabled("two_p4", k)
+    return _tabled("two_p4", k, g)
 
 
-def construct_two_s3(k: int) -> EdgeLabeling | None:
+def construct_two_s3(k: int, *, g: Graph | None = None) -> EdgeLabeling | None:
     """k-shifted labeling of two disjoint three-leaf stars, or None."""
-    return _tabled("two_s3", k)
+    return _tabled("two_s3", k, g)
 
 
-def construct_p5prime(k: int) -> EdgeLabeling | None:
+def construct_p5prime(k: int, *, g: Graph | None = None) -> EdgeLabeling | None:
     """k-shifted labeling of the five-vertex path with an extra middle leaf."""
-    return _tabled("p5prime", k)
+    return _tabled("p5prime", k, g)
 
 
 def p3_threshold(m: int) -> int:

@@ -31,8 +31,8 @@ class BadParameters(AntimagicError):
 
 
 class InvalidLabeling(AntimagicError):
-    """A labeling does not fit its use: labels missing or miscounted,
-    not a permutation of 1..m, or an edge not incident where required."""
+    """A labeling does not fit its use: labels missing or miscounted, or
+    not a permutation of 1..m."""
 
 
 class WrongGraphClass(AntimagicError):

@@ -16,7 +16,7 @@ from itertools import repeat
 from operator import add, mul
 
 from .errors import BadParameters, InvalidLabeling
-from .graph import Edge, Graph, canonical_edge
+from .graph import Edge, Graph
 
 
 class EdgeLabeling(namedtuple("EdgeLabeling", "graph labels base")):
@@ -297,26 +297,3 @@ def sdds_shift_threshold(g: Graph) -> int:
     if g.m == 0:
         raise BadParameters("threshold undefined for a graph with no edges")
     return (g.m - 1) * (g.max_degree() - 1)
-
-
-def partial_vertex_sum(
-    g: Graph, labels: Mapping[Edge, int], v: int, excluded: Edge
-) -> int:
-    """Sum of labels on v's incident edges, skipping the one excluded edge.
-
-    Every other incident edge must already be labeled.
-    """
-    excluded = canonical_edge(*excluded)
-    if v not in excluded:
-        raise InvalidLabeling(f"excluded edge {excluded} is not incident to vertex {v}")
-    if not (0 <= v < g.n):
-        raise InvalidLabeling(f"{v} is not a vertex of a {g.n}-vertex graph")
-    total = 0
-    for w in g.adjacency()[v]:
-        e = canonical_edge(v, w)
-        if e == excluded:
-            continue
-        if e not in labels:
-            raise InvalidLabeling(f"edge {e} at vertex {v} has no label yet")
-        total += labels[e]
-    return total

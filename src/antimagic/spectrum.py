@@ -17,13 +17,15 @@ from itertools import chain
 
 from . import families
 from .constructors import (
-    _cp3,
-    _double_star,
-    _path_shifted,
-    _star,
-    _tabled,
+    construct_cp3,
+    construct_double_star,
     construct_forest_sdds,
     construct_odd_degree,
+    construct_p5prime,
+    construct_path_shifted,
+    construct_star,
+    construct_two_p4,
+    construct_two_s3,
 )
 from .errors import BadParameters, BudgetExceeded, NoSddsFound, WrongGraphClass
 from .graph import Graph
@@ -550,13 +552,13 @@ def _construct_path(k: int, g: Graph, budget: int, n: int) -> EdgeLabeling | Non
     if n == 2:
         return None
     if n >= 6:
-        return _path_shifted(n, k, g)
+        return construct_path_shifted(n, k, g=g)
     return decide(g, k, budget)
 
 
 def _construct_cp3(k: int, g: Graph, budget: int, c: int) -> EdgeLabeling | None:
     # from c//2 down to the mirror axis lies the excluded band
-    return mirror(lambda j: _cp3(c, j, g) if j >= c // 2 else None, g.m, k)
+    return mirror(lambda j: construct_cp3(c, j, g=g) if j >= c // 2 else None, g.m, k)
 
 
 class Family(namedtuple("Family", "params build construct excluded", defaults=(None, None))):
@@ -568,7 +570,8 @@ class Family(namedtuple("Family", "params build construct excluded", defaults=(N
     `excluded(**params)` gives the closed-form infeasible shifts, and
     raises BadParameters on a parameter out of range or None. Either may
     be None where the family has none. Entries call builders through
-    their module, so a function rebound there is the one called.
+    their module and constructors by the names this module imports, so a
+    function rebound in either place is the one called.
     """
 
     __slots__ = ()
@@ -580,32 +583,32 @@ FAMILIES: dict[str, Family] = {
     "star": Family(
         ("n",),
         lambda n: families.star(n),
-        lambda k, g, n, **_: None if n == 1 else _star(n, k, g),
+        lambda k, g, n, **_: None if n == 1 else construct_star(n, k, g=g),
         _star_excluded,
     ),
     "double_star": Family(
         ("a", "b"),
         lambda a, b: families.double_star(a, b),
-        lambda k, g, a, b, **_: _double_star(a, b, k, g),
+        lambda k, g, a, b, **_: construct_double_star(a, b, k, g=g),
         _double_star_excluded,
     ),
     "cp3": Family(("c",), lambda c: families.cp3(c), _construct_cp3, _cp3_excluded),
     "two_p4": Family(
         (),
         lambda: families.two_p4(),
-        lambda k, g, **_: _tabled("two_p4", k, g),
+        lambda k, g, **_: construct_two_p4(k, g=g),
         lambda: frozenset({-5, -2}),
     ),
     "two_s3": Family(
         (),
         lambda: families.two_s3(),
-        lambda k, g, **_: _tabled("two_s3", k, g),
+        lambda k, g, **_: construct_two_s3(k, g=g),
         lambda: frozenset({-5, -2}),
     ),
     "p5prime": Family(
         (),
         lambda: families.p5prime(),
-        lambda k, g, **_: _tabled("p5prime", k, g),
+        lambda k, g, **_: construct_p5prime(k, g=g),
         lambda: frozenset({-3}),
     ),
     "cycle": Family(("n",), lambda n: families.cycle(n)),

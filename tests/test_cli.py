@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from antimagic import cli
 from antimagic.cli import main
+from antimagic.graph import Graph
 from antimagic.spectrum import decide
 
 
@@ -224,6 +226,24 @@ def test_output_file_option(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text()) == {"edges": 2, "threshold": 18}
+
+
+def test_construct_frees_the_graph_before_the_emit(tmp_path, capsys, monkeypatch):
+    # the certificate holds every edge again; the graph must not outlive it
+    emit, live = cli._emit, []
+
+    def checked_emit(doc, out):
+        gc.collect()
+        live.extend(o for o in gc.get_objects() if isinstance(o, Graph) and o.m == 999)
+        emit(doc, out)
+
+    monkeypatch.setattr(cli, "_emit", checked_emit)
+    target = tmp_path / "cert.json"
+    code, out, err = run_cli(capsys, "construct", "--family", "p1000", "--k", "0",
+                             "--out", str(target))
+    assert (code, out, err) == (0, "", "feasible: labels 1..999 placed on 999 edges\n")
+    assert json.loads(target.read_text())["valid"] is True
+    assert live == []
 
 
 def test_missing_graph_file_exits_one(capsys):

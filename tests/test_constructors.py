@@ -24,11 +24,16 @@ from antimagic.errors import BadParameters, WrongGraphClass
 from antimagic.families import (
     complete,
     complete_bipartite,
+    cp3,
     cube,
     cycle,
+    double_star,
+    p5prime,
     path,
     petersen,
     star,
+    two_p4,
+    two_s3,
 )
 from antimagic.graph import build_graph
 from antimagic.labeling import (
@@ -283,6 +288,35 @@ def test_sporadic_families_match_closed_forms():
             else:
                 assert verify_shifted(f, k), (name, k)
                 assert k not in closed, (name, k)
+
+
+def family_sweeps():
+    """(constructor, leading arguments, family graph, shifts) over the
+    grids and shifts the sweeps above cover."""
+    for n in range(6, 16):
+        yield construct_path_shifted, (n,), path(n), range(-2 * n, 2 * n + 1)
+    for leaves in range(2, 12):
+        yield construct_star, (leaves,), star(leaves), range(-2 * leaves - 3, leaves + 3)
+    for a in range(1, 7):
+        for b in range(1, a + 1):
+            yield construct_double_star, (a, b), double_star(a, b), range(-16, 9)
+    for c in range(1, 13):
+        yield construct_cp3, (c,), cp3(c), range(c // 2, c // 2 + 6)
+    for ctor, build in ((construct_two_p4, two_p4), (construct_two_s3, two_s3),
+                        (construct_p5prime, p5prime)):
+        yield ctor, (), build(), range(-12, 7)
+
+
+def test_family_constructors_label_the_graph_they_are_given():
+    for ctor, args, g, shifts in family_sweeps():
+        for k in shifts:
+            f = ctor(*args, k, g=g)
+            expected = ctor(*args, k)
+            if f is None:
+                assert expected is None, (ctor.__name__, args, k)
+                continue
+            assert f.graph is g, (ctor.__name__, args, k)
+            assert f == expected, (ctor.__name__, args, k)
 
 
 # --- union threshold -------------------------------------------------------

@@ -14,7 +14,6 @@ from antimagic.labeling import (
     is_sdds,
     is_strongly_antimagic,
     negate_labeling,
-    partial_vertex_sum,
     sdds_shift_threshold,
     shift_labeling,
     verify_shifted,
@@ -132,18 +131,3 @@ def test_sdds_shift_threshold():
     assert sdds_shift_threshold(complete(4)) == 10
     with pytest.raises(BadParameters, match="no edges"):
         sdds_shift_threshold(build_graph(3, []))
-
-
-def test_partial_vertex_sum():
-    g = star(3)
-    labels = {(0, 1): 5, (0, 2): 7, (0, 3): 9}
-    assert partial_vertex_sum(g, labels, 0, (0, 2)) == 14
-    assert partial_vertex_sum(g, labels, 1, (0, 1)) == 0
-    with pytest.raises(InvalidLabeling, match="not incident to vertex 1"):
-        partial_vertex_sum(g, labels, 1, (0, 2))
-    for v in (4, -1):
-        with pytest.raises(InvalidLabeling, match="is not a vertex of a 4-vertex graph"):
-            partial_vertex_sum(g, labels, v, (0, v))
-    del labels[(0, 3)]
-    with pytest.raises(InvalidLabeling, match=r"edge \(0, 3\) at vertex 0 has no label yet"):
-        partial_vertex_sum(g, labels, 0, (0, 1))

@@ -45,6 +45,9 @@ from antimagic.spectrum import (
 )
 from conftest import random_graph
 
+# the module itself: the package exports the function `spectrum` under its name
+spectrum_module = sys.modules["antimagic.spectrum"]
+
 
 def brute_force(g, k):
     pool = range(k + 1, k + g.m + 1)
@@ -368,6 +371,38 @@ def test_registry_constructions_label_the_graph_they_are_handed(name, grid):
                 continue
             assert f.graph is g, (name, params, k)
             assert f == expected, (name, params, k)
+
+
+@pytest.mark.parametrize(
+    "name, ctor, params, k",
+    [
+        ("path", "construct_path_shifted", {"n": 8}, -3),
+        ("path", "construct_path_shifted", {"n": 8}, 2),
+        ("star", "construct_star", {"n": 4}, 1),
+        ("double_star", "construct_double_star", {"a": 3, "b": 2}, -9),
+        ("cp3", "construct_cp3", {"c": 3}, 2),
+        ("cp3", "construct_cp3", {"c": 3}, -11),
+        ("two_p4", "construct_two_p4", {}, 0),
+        ("two_s3", "construct_two_s3", {}, -3),
+        ("p5prime", "construct_p5prime", {}, -1),
+    ],
+)
+def test_registry_calls_the_constructors_by_the_names_spectrum_binds(
+    monkeypatch, name, ctor, params, k
+):
+    # a constructor rebound in antimagic.spectrum, as a tracer rebinds it,
+    # is the one the registry calls
+    real, calls = getattr(spectrum_module, ctor), []
+
+    def recorder(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum_module, ctor, recorder)
+    g = FAMILIES[name].build(**params)
+    f = FAMILIES[name].construct(k, g=g, budget=DEFAULT_BUDGET, **params)
+    assert calls and all(kwargs["g"] is g for kwargs in calls)
+    assert f.graph is g and verify_shifted(f, k)
 
 
 def test_all_shifts_contains_everything():
