@@ -70,6 +70,7 @@ from .spectrum import (
     closed_form_spectrum,
     decide,
     finite_window,
+    labeling_at,
     search_sdds,
     search_strong,
     spectrum,
@@ -113,6 +114,7 @@ __all__ = [
     "format_edge_list",
     "is_sdds",
     "is_strongly_antimagic",
+    "labeling_at",
     "labeling_to_certificate",
     "level_partition",
     "negate_labeling",

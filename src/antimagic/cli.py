@@ -21,24 +21,9 @@ from json.encoder import encode_basestring_ascii
 
 from .certificate import _check_certificate, labeling_to_certificate
 from .constructors import p3_threshold
-from .errors import (
-    AntimagicError,
-    BadParameters,
-    CertificateError,
-    NoSddsFound,
-)
+from .errors import AntimagicError, BadParameters, CertificateError
 from .graph import Graph, parse_edge_list
-from .labeling import EdgeLabeling
-from .spectrum import (
-    DEFAULT_BUDGET,
-    FAMILIES,
-    AllShifts,
-    closed_form_spectrum,
-    decide,
-    finite_window,
-    lift,
-    spectrum,
-)
+from .spectrum import ALL_SHIFTS, DEFAULT_BUDGET, FAMILIES, decide, labeling_at, spectrum
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -160,32 +145,9 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, tuple[str, dict] | Non
     return _build_family(args)
 
 
-def _construct_any(
-    g: Graph, desc: tuple[str, dict] | None, k: int, budget: int
-) -> EdgeLabeling | None:
-    if desc is not None:
-        name, params = desc
-        construct = FAMILIES[name].construct
-        if construct is not None:
-            return construct(k, g=g, budget=budget, **params)
-    try:
-        win = finite_window(g, budget)
-    except NoSddsFound:
-        # With an edge, this is a proof that no labeling of 1..m has
-        # distinct sums even within a degree class (a single-edge
-        # component, two isolated vertices, or an exhausted search). A
-        # k-shifted labeling minus k would be one, so no shift is feasible.
-        if g.m:
-            return None
-        return decide(g, k, budget)
-    if win.lo <= k <= win.hi:
-        return decide(g, k, budget)
-    return lift(win, k)
-
-
 def _cmd_construct(args: argparse.Namespace) -> int:
     g, desc = _load_graph(args)
-    f = _construct_any(g, desc, args.k, args.budget)
+    f = labeling_at(g, args.k, args.budget, desc)
     if f is None:
         _emit({"feasible": False, "k": args.k, "n": g.n, "m": g.m}, args.out)
         print(f"infeasible: no {args.k}-shifted labeling exists", file=sys.stderr)
@@ -253,22 +215,11 @@ def _parse_window(text: str) -> tuple[int, int]:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     g, desc = _load_graph(args)
     override = _parse_window(args.window) if args.window else None
-    try:
-        report = spectrum(g, window=override, budget=args.budget)
-    except NoSddsFound:
-        if desc is not None:
-            name, params = desc
-            try:
-                known = closed_form_spectrum(name, **params)
-            except BadParameters:
-                known = None
-            if isinstance(known, AllShifts):
-                doc = {"n": g.n, "m": g.m, "edges": [list(e) for e in g.edges]}
-                _emit({**doc, "window": None, "excluded_all_shifts": True}, args.out)
-                print("every shift is infeasible for this graph", file=sys.stderr)
-                return EXIT_OK
-        raise
+    report = spectrum(g, window=override, budget=args.budget, family=desc)
     _emit(report.to_dict(), args.out)
+    if report.excluded == ALL_SHIFTS:
+        print("every shift is infeasible for this graph", file=sys.stderr)
+        return EXIT_OK
     window_note = (
         "no provable window"
         if report.window is None

@@ -2,9 +2,9 @@
 
 The exhaustive decider works on small graphs only (the label pool grows
 factorially), so spectra are computed in three rings: a provable window
-from a strong or same-degree-distinct certificate, a brute-force sweep
-inside the window with the negation symmetry cutting the work in half,
-and lemma-backed certificates outside it.
+from a strong or same-degree-distinct certificate, a sweep inside it by
+brute force (past the budget, by the family's construction) with the
+negation symmetry halving the work, and lemma certificates outside it.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from .labeling import EdgeLabeling, mirror, sdds_shift_threshold, shift_labeling
 DEFAULT_BUDGET = 10
 # The most shifts a window override may sweep; each costs a labeling.
 MAX_SWEEP = 10_000
+# The most labels any sweep may hold: its shifts times the edge count.
+MAX_SWEEP_LABELS = 5_000_000
 
 
 def _plan(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:
@@ -363,12 +365,36 @@ def lift(win: WindowResult, k: int) -> EdgeLabeling:
     return mirror(lambda j: shift_labeling(cert, j), cert.graph.m, k)
 
 
+def labeling_at(
+    g: Graph, k: int, budget: int = DEFAULT_BUDGET, family: tuple[str, dict] | None = None
+) -> EdgeLabeling | None:
+    """A k-shifted labeling of g, or None when shift k is infeasible.
+
+    `family` is the (name, params) of the `FAMILIES` entry that built g;
+    its constructor answers when it has one, else `decide` inside the
+    provable window and `lift` outside it. With an edge but no window no
+    shift is feasible: NoSddsFound proves that no labeling by 1..m has
+    distinct sums within each degree class, which a k-shifted one less k is.
+    """
+    construct = None if family is None else FAMILIES[family[0]].construct
+    if construct is not None:
+        return construct(k, g=g, budget=budget, **family[1])
+    try:
+        win = finite_window(g, budget)
+    except NoSddsFound:
+        return None if g.m else decide(g, k, budget)
+    return decide(g, k, budget) if win.lo <= k <= win.hi else lift(win, k)
+
+
 class ShiftStatus(namedtuple("ShiftStatus", "k status via certificate")):
     """One swept shift k.
 
-    `status` is "feasible", "infeasible" or "lemma"; `via` is "search",
-    "mirror", "strong-shift", "sdds-shift" or "negation-symmetry";
-    `certificate` is a k-shifted labeling, or None when infeasible.
+    `status` is "feasible", "infeasible" or "lemma"; `via` is "search"
+    (decided within the search budget), "family" (past it, by
+    `labeling_at`), "mirror" (negated from the shift -(m+1)-k),
+    "strong-shift", "sdds-shift" or "negation-symmetry" (the window's
+    certificate lifted); `certificate` is a k-shifted labeling, or None
+    when infeasible.
     """
 
     __slots__ = ()
@@ -379,7 +405,8 @@ class SpectrumReport(
 ):
     """A sweep of shifts sweep_lo..sweep_hi, one ShiftStatus per shift in
     `entries`; `excluded` lists the infeasible ones and `window` is the
-    provable window, or None without one."""
+    provable window, or None without one. For a graph with an edge but
+    no window, `excluded` is ALL_SHIFTS and nothing is swept."""
 
     __slots__ = ()
 
@@ -390,12 +417,13 @@ class SpectrumReport(
         raise KeyError(f"shift {k} is outside the swept range")
 
     def to_dict(self) -> dict:
+        doc = {"n": self.graph.n, "m": self.graph.m, "edges": [list(e) for e in self.graph.edges]}
+        if self.excluded == ALL_SHIFTS:
+            return {**doc, "window": None, "excluded_all_shifts": True}
         above = "unknown" if self.window is None else f"{self.window.method}-shift"
         below = "unknown" if self.window is None else "negation-symmetry"
         return {
-            "n": self.graph.n,
-            "m": self.graph.m,
-            "edges": [list(e) for e in self.graph.edges],
+            **doc,
             "window": None
             if self.window is None
             else {
@@ -425,6 +453,7 @@ def spectrum(
     g: Graph,
     window: tuple[int, int] | None = None,
     budget: int = DEFAULT_BUDGET,
+    family: tuple[str, dict] | None = None,
 ) -> SpectrumReport:
     """Sweep a shift range and report feasibility per shift.
 
@@ -433,42 +462,60 @@ def spectrum(
     provable window are certified by the shift and negation arguments
     instead of brute force. The negation symmetry k <-> -(m+1)-k halves
     the brute-force work: only the upper half is decided, mirrors reuse it.
-    Every search of one call shares one edge plan.
+    Up to `budget` edges `decide` searches each shift, all sharing one
+    edge plan; past it `labeling_at` answers with `family`'s constructor.
+    A sweep past MAX_SWEEP_LABELS labels, or an override past MAX_SWEEP
+    shifts, raises BadParameters before any shift is swept.
     """
     # past n = 2m+1 every search answers at once and needs no plan
     shared = g.m <= budget and g.n <= 2 * g.m + 1
     token = _SWEEP_STEPS.set((g, _steps(g))) if shared else None
     try:
-        return _sweep(g, window, budget)
+        return _sweep(g, window, budget, family)
     finally:
         if token is not None:
             _SWEEP_STEPS.reset(token)
 
 
-def _sweep(g: Graph, window: tuple[int, int] | None, budget: int) -> SpectrumReport:
+def _check_sweep(lo: int, hi: int, m: int, most: float) -> None:
+    """Refuse lo..hi if empty or past `most` shifts or MAX_SWEEP_LABELS labels."""
+    if lo > hi:
+        raise BadParameters(f"empty sweep range {lo}..{hi}")
+    if hi - lo >= most:
+        raise BadParameters(
+            f"sweep range {lo}..{hi} holds {hi - lo + 1} shifts, more than the {most} allowed"
+        )
+    if (hi - lo + 1) * m > MAX_SWEEP_LABELS:
+        raise BadParameters(
+            f"sweep range {lo}..{hi} of a {m}-edge graph holds {(hi - lo + 1) * m} labels,"
+            f" more than the {MAX_SWEEP_LABELS} allowed"
+        )
+
+
+def _sweep(
+    g: Graph, window: tuple[int, int] | None, budget: int, family: tuple[str, dict] | None
+) -> SpectrumReport:
     m = g.m
+    if window is not None:
+        _check_sweep(*window, m, MAX_SWEEP)
     try:
         win = finite_window(g, budget)
     except NoSddsFound:
         if window is None:
+            if m:  # no shift is feasible, as `labeling_at` explains
+                return SpectrumReport(g, None, None, None, ALL_SHIFTS, ())
             raise
         win = None
     if window is None:
-        sweep_lo, sweep_hi = win.lo, win.hi
-    else:
-        sweep_lo, sweep_hi = window
-        if sweep_lo > sweep_hi:
-            raise BadParameters(f"empty sweep range {sweep_lo}..{sweep_hi}")
-        if sweep_hi - sweep_lo >= MAX_SWEEP:
-            raise BadParameters(
-                f"sweep range {sweep_lo}..{sweep_hi} holds {sweep_hi - sweep_lo + 1} shifts,"
-                f" more than the {MAX_SWEEP} allowed"
-            )
+        window = win.lo, win.hi
+        _check_sweep(*window, m, math.inf)
+    sweep_lo, sweep_hi = window
+    searched = m <= budget
     cache: dict[int, EdgeLabeling | None] = {}
 
     def decided(j: int) -> EdgeLabeling | None:
         if j not in cache:
-            cache[j] = decide(g, j, budget)
+            cache[j] = decide(g, j, budget) if searched else labeling_at(g, j, budget, family)
         return cache[j]
 
     entries: list[ShiftStatus] = []
@@ -480,7 +527,7 @@ def _sweep(g: Graph, window: tuple[int, int] | None, budget: int) -> SpectrumRep
             continue
         found = mirror(decided, m, k)
         # mirror decides k itself exactly when k is on the upper half
-        via = "search" if k in cache else "mirror"
+        via = ("search" if searched else "family") if k in cache else "mirror"
         if found is None:
             entries.append(ShiftStatus(k, "infeasible", via, None))
             excluded.append(k)

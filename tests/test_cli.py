@@ -19,7 +19,11 @@ from hypothesis import strategies as st
 from antimagic import cli
 from antimagic.cli import main
 from antimagic.graph import Graph
-from antimagic.spectrum import decide
+from antimagic.spectrum import FAMILIES, decide
+from test_cli_corpus import GRAPHS
+
+# the module itself: the package exports the function `spectrum` under its name
+spectrum_module = sys.modules["antimagic.spectrum"]
 
 
 def run_cli(capsys, *argv):
@@ -66,7 +70,7 @@ def test_construct_with_a_single_edge_component_is_infeasible_past_the_budget(
     def no_search(*args):
         raise AssertionError("decide() called")
 
-    monkeypatch.setattr("antimagic.cli.decide", no_search)
+    monkeypatch.setattr(spectrum_module, "decide", no_search)
     lines = ["30 14", "0 1"] + [f"{v} {v + 1}" for v in range(2, 15)]
     graph = tmp_path / "g.txt"
     graph.write_text("\n".join(lines) + "\n")
@@ -79,7 +83,7 @@ def test_construct_with_a_single_edge_component_is_infeasible_past_the_budget(
 @pytest.mark.parametrize(("header", "code"), [("1 0", 0), ("2 0", 2)])
 def test_construct_on_an_edgeless_graph_still_searches(tmp_path, capsys, monkeypatch, header, code):
     calls = []
-    monkeypatch.setattr("antimagic.cli.decide", lambda *a: calls.append(a) or decide(*a))
+    monkeypatch.setattr(spectrum_module, "decide", lambda *a: calls.append(a) or decide(*a))
     graph = tmp_path / "g.txt"
     graph.write_text(header + "\n")
     assert run_cli(capsys, "construct", "--graph", str(graph), "--k", "0")[0] == code
@@ -205,12 +209,59 @@ def test_spectrum_single_edge_reports_total_exclusion(capsys):
     assert doc["window"] is None
 
 
-def test_spectrum_windowless_without_closed_form_exits_one(tmp_path, capsys):
+def test_spectrum_windowless_without_closed_form_excludes_all_shifts(tmp_path, capsys):
     g = tmp_path / "k2pair.txt"
     g.write_text("4 2\n0 1\n2 3\n")
-    code, _, err = run_cli(capsys, "spectrum", "--graph", str(g))
-    assert code == 1
-    assert "error" in err
+    code, out, err = run_cli(capsys, "spectrum", "--graph", str(g))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["excluded_all_shifts"] is True and doc["window"] is None
+    assert err == "every shift is infeasible for this graph\n"
+
+
+def test_spectrum_of_k2_from_a_file_matches_the_family(tmp_path, capsys):
+    g = tmp_path / "k2.txt"
+    g.write_text("2 1\n0 1\n")
+    from_file = run_cli(capsys, "spectrum", "--graph", str(g))
+    assert from_file == run_cli(capsys, "spectrum", "--family", "p2")
+    assert from_file[0] == 0
+
+
+def test_spectrum_of_an_edgeless_graph_is_an_error(tmp_path, capsys):
+    g = tmp_path / "k1.txt"
+    g.write_text("1 0\n")
+    assert run_cli(capsys, "spectrum", "--graph", str(g)) == (1, "", "error: no edges to label\n")
+
+
+def family_name(fam: list[str]) -> str:
+    """The registry name the command line resolves `fam` to."""
+    return cli._build_family(cli._build_parser().parse_args(["spectrum", *fam]))[1][0]
+
+
+@pytest.mark.parametrize("budget", ["10", "2"])
+@pytest.mark.parametrize(
+    "fam",
+    # p1 has no edge: spectrum has nothing to sweep
+    [
+        fam
+        for fam in GRAPHS
+        if fam[1] != "p1" and FAMILIES[family_name(fam)].construct is not None
+    ],
+    ids=" ".join,
+)
+def test_construct_finds_a_labeling_exactly_off_the_spectrum(capsys, fam, budget):
+    # construct and spectrum take one route per shift, so they agree on
+    # every corpus graph whose family has a constructor, or refuse alike
+    code, out, err = run_cli(capsys, "spectrum", *fam, "--budget", budget)
+    doc = json.loads(out) if code == 0 else None
+    for k in range(-16, 8):
+        found, _, why = run_cli(capsys, "construct", *fam, "--k", str(k), "--budget", budget)
+        if doc is None:
+            assert (found, why) == (1, err), k
+        elif doc.get("excluded_all_shifts") or k in doc["excluded"]:
+            assert found == 2, k
+        else:
+            assert found == 0, k
 
 
 def test_threshold_values(capsys):

@@ -5,13 +5,14 @@ address space is capped at 512 MiB. With n > 2m+1 two vertices are
 isolated and share the sum 0, so no shift is feasible; the toolkit must
 say so from the edges alone, exit with its usual status and print no
 traceback. A per-vertex list for n = 10^9 would need gigabytes. A sweep
-over two billion shifts, or a family with 10^8 or more edges, must be
-refused before any work starts. A request that is admitted but outgrows
-the cap must end in one error line.
+over two billion shifts or of more labels than the sweep cap, or a
+family with 10^8 or more edges, must be refused in one error line before
+any work starts.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import resource
 import subprocess
@@ -51,8 +52,8 @@ def run_capped(*argv: str) -> subprocess.CompletedProcess:
         (SINGLE_EDGE, ("decide", "--k", "0"), 2, "infeasible: exhaustive search rules out k=0"),
         (PATH_P4, ("construct", "--k", "5"), 2, "infeasible: no 5-shifted labeling exists"),
         (PATH_P4, ("decide", "--k", "-2"), 2, "infeasible: exhaustive search rules out k=-2"),
-        (SINGLE_EDGE, ("spectrum",), 1, "error: a single-edge component forces two equal sums"),
-        (PATH_P4, ("spectrum",), 1, "error: two isolated vertices share the sum 0"),
+        (SINGLE_EDGE, ("spectrum",), 0, "every shift is infeasible for this graph"),
+        (PATH_P4, ("spectrum",), 0, "every shift is infeasible for this graph"),
     ],
     ids=["construct-k2", "decide-k2", "construct-p4", "decide-p4", "spectrum-k2", "spectrum-p4"],
 )
@@ -63,6 +64,8 @@ def test_huge_vertex_count_is_settled_from_the_edges(tmp_path, text, argv, code,
     assert "Traceback" not in proc.stderr
     assert proc.returncode == code
     assert proc.stderr.splitlines()[-1] == message
+    if argv == ("spectrum",):
+        assert json.loads(proc.stdout)["excluded_all_shifts"] is True
 
 
 @pytest.mark.parametrize(
@@ -85,8 +88,12 @@ def test_huge_vertex_count_is_settled_from_the_edges(tmp_path, text, argv, code,
             ("construct", "--family", "p100000000", "--k", "0"),
             "error: path would have 99999999 edges, more than the 2000000 allowed",
         ),
-        # 10,000 lemma certificates of 1,999 labels each: admitted, past the cap
-        (("spectrum", "--family", "p2000", "--window=2000:11999"), "error: out of memory"),
+        # 10,000 lemma certificates of 1,999 labels each would outgrow the cap
+        (
+            ("spectrum", "--family", "p2000", "--window=2000:11999"),
+            "error: sweep range 2000..11999 of a 1999-edge graph holds 19990000 labels,"
+            " more than the 5000000 allowed",
+        ),
     ],
     ids=[
         "spectrum-wide-window",

@@ -35,6 +35,7 @@ from antimagic.spectrum import (
     DEFAULT_BUDGET,
     FAMILIES,
     MAX_SWEEP,
+    MAX_SWEEP_LABELS,
     AllShifts,
     closed_form_spectrum,
     decide,
@@ -195,9 +196,17 @@ def test_spectrum_mirrors_across_the_negation_axis():
             assert verify_shifted(row.certificate, row.k), row.k
 
 
-def test_spectrum_reraises_without_override():
-    with pytest.raises(NoSddsFound):
-        spectrum(path(2))
+def test_spectrum_excludes_every_shift_of_a_windowless_graph():
+    # a single-edge component, or two isolated vertices: no shift works
+    for g in (path(2), build_graph(4, [(0, 1), (2, 3)]), build_graph(5, [(0, 1), (1, 2)])):
+        rep = spectrum(g)
+        assert rep.excluded is ALL_SHIFTS
+        assert rep.window is None and rep.entries == ()
+        doc = {"n": g.n, "m": g.m, "edges": [list(e) for e in g.edges]}
+        assert rep.to_dict() == {**doc, "window": None, "excluded_all_shifts": True}
+    # a graph with no edge has nothing to label
+    with pytest.raises(NoSddsFound, match="^no edges to label$"):
+        spectrum(build_graph(1, []))
 
 
 def test_spectrum_override_sweeps_windowless_graphs():
@@ -218,6 +227,32 @@ def test_spectrum_rejects_override_wider_than_the_cap():
     assert len(spectrum(path(4), window=(1, MAX_SWEEP)).entries) == MAX_SWEEP
     with pytest.raises(BadParameters, match=rf"^sweep range 0\.\.{MAX_SWEEP} holds {MAX_SWEEP + 1} shifts"):
         spectrum(path(4), window=(0, MAX_SWEEP))
+
+
+def test_spectrum_caps_sweeps_by_labels(monkeypatch):
+    # 2,001 shifts of 2,499 labels, refused before any window is built
+    def no_window(*args):
+        raise AssertionError("finite_window() called")
+
+    monkeypatch.setattr(spectrum_module, "finite_window", no_window)
+    assert 2000 * 2499 <= MAX_SWEEP_LABELS < 2001 * 2499
+    message = (
+        rf"^sweep range 0\.\.2000 of a 2499-edge graph holds {2001 * 2499} labels,"
+        rf" more than the {MAX_SWEEP_LABELS} allowed$"
+    )
+    with pytest.raises(BadParameters, match=message):
+        spectrum(path(2500), window=(0, 2000))
+    monkeypatch.undo()
+    # shifts times edges up to the cap are swept
+    monkeypatch.setattr(spectrum_module, "MAX_SWEEP_LABELS", 30)
+    assert len(spectrum(path(4), window=(1, 10)).entries) == 10
+    with pytest.raises(BadParameters, match=r"^sweep range 0\.\.10 of a 3-edge graph holds 33 labels"):
+        spectrum(path(4), window=(0, 10))
+    monkeypatch.undo()
+    # a full window is checked as soon as it is known: star(200) sweeps
+    # 79,404 shifts of 200 labels
+    with pytest.raises(BadParameters, match=r"^sweep range -39802\.\.39601 of a 200-edge graph"):
+        spectrum(star(200), family=("star", {"n": 200}))
 
 
 def test_spectrum_report_dict_shape():
@@ -327,6 +362,44 @@ def test_registry_constructions_agree_with_closed_forms():
                 else:
                     assert verify_shifted(f, k), (name, params, k)
                     assert k not in excluded, (name, params, k)
+
+
+SPECTRUM_GRID = [
+    *(("path", {"n": n}) for n in range(2, 62)),
+    *(("star", {"n": n}) for n in (*range(1, 17), 23, 30, 45, 60)),
+    *(
+        ("double_star", {"a": a, "b": b})
+        for a, b in (
+            *((a, b) for a in (1, 2, 3) for b in range(1, 13)),
+            *((1, b) for b in (24, 25, 40, 57)),
+            (7, 20),
+            (15, 15),
+            (10, 49),
+            (29, 30),
+        )
+    ),
+    *(("cp3", {"c": c}) for c in range(1, 31)),
+]
+
+
+@pytest.mark.parametrize("name, params", SPECTRUM_GRID, ids=str)
+def test_family_spectra_up_to_sixty_edges_match_the_closed_forms(name, params):
+    # past the search budget the family's constructor decides each shift
+    g = FAMILIES[name].build(**params)
+    rep = spectrum(g, family=(name, params))
+    want = closed_form_spectrum(name, **params)
+    if want is ALL_SHIFTS:
+        assert rep.excluded is ALL_SHIFTS
+        return
+    assert frozenset(rep.excluded) == want
+    assert [row.k for row in rep.entries] == list(range(rep.window.lo, rep.window.hi + 1))
+    assert {row.via for row in rep.entries} <= (
+        {"search", "mirror"} if g.m <= DEFAULT_BUDGET else {"family", "mirror"}
+    )
+    for row in rep.entries:
+        assert (row.certificate is None) == (row.k in want), row.k
+        if row.certificate is not None:
+            assert row.certificate.graph is g and verify_shifted(row.certificate, row.k), row.k
 
 
 def public_constructor(name, params, k):
