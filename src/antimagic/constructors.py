@@ -1,24 +1,27 @@
 """Constructive labelings for families with known shifted spectra.
 
-Two general-purpose builders return same-degree-distinct-sum labelings
-(forests and graphs whose degrees are all odd); shifting such a labeling
-far enough makes every vertex sum distinct. The family-specific builders
-(paths, stars, double stars, copies of the three-vertex path, and a few
-small sporadic graphs) return a labeling for an exact shift k, or None
-when that shift is provably infeasible for the family. Each takes the
-family graph to label as an optional keyword `g`, used as is; without it,
-the constructor builds the graph itself.
+Two general-purpose builders return same-degree-distinct-sum labelings,
+one for forests and one for graphs whose degrees are all odd; shifting
+such a labeling far enough makes every vertex sum distinct. Each checks
+its graph class and runs the one level construction, `_label_levels`;
+on a forest that construction finds no trails to label. The
+family-specific builders (paths, stars, double stars, copies of the
+three-vertex path, and a few small sporadic graphs) return a labeling
+for an exact shift k, or None when that shift is provably infeasible
+for the family. Each takes the family graph to label as an optional
+keyword `g`, used as is; without it, the constructor builds the graph
+itself.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from itertools import accumulate, count
+from itertools import accumulate, groupby
 
 from .errors import BadParameters, WrongGraphClass
 from .families import cp3, double_star, p5prime, path, star, two_p4, two_s3
-from .graph import Edge, Graph, _component_vertices, _root
+from .graph import Edge, Graph, _component_vertices
 from .labeling import EdgeLabeling, mirror
 from .trails import find_sigma_and_trails, label_trails
 
@@ -26,17 +29,8 @@ from .trails import find_sigma_and_trails, label_trails
 def construct_forest_sdds(g: Graph) -> EdgeLabeling:
     """Label a forest with 1..m so same-degree vertices get distinct sums.
 
-    Trees take consecutive blocks of labels in order of least vertex id.
-    Within a tree, rooted at its lowest-id vertex of maximum degree, levels
-    are labeled bottom-up; inside a level, vertices are ordered by the sum
-    already sitting on their edges to the level below, and their parent
-    edges take ascending labels in that order.
-
-    All trees go in one layered pass: one scan over the vertices finds the
-    roots, one breadth-first pass from all of them records parents and
-    levels, and each depth, deepest first, is labeled across every tree at
-    once, each tree drawing on its own label counter. The run is linear in
-    the forest apart from sorting levels with two or more vertices.
+    `_label_levels` without trails: each vertex's parent edge takes the
+    next label of its tree, in order of the sum on the edges below it.
     """
     deg = g.degrees()
     tree_of, trees = _component_vertices(g)
@@ -48,62 +42,11 @@ def construct_forest_sdds(g: Graph) -> EdgeLabeling:
                 raise WrongGraphClass(f"component {tuple(sorted(verts))} is a single edge")
             if sum(deg[v] for v in verts) != 2 * (len(verts) - 1):
                 raise WrongGraphClass(f"component {tuple(sorted(verts))} contains a cycle")
-    top = [-1] * len(trees)
-    roots = [0] * len(trees)
-    for v, t in enumerate(tree_of):
-        if deg[v] > top[t]:
-            top[t] = deg[v]
-            roots[t] = v
-    adj = g.adjacency()
-    parent = [-1] * g.n
-    levels = [roots]  # levels[d]: every tree's depth-d vertices, tree by tree
-    for level in levels:  # grows while it is walked
-        deeper = []
-        for v in level:
-            p = parent[v]
-            for child in adj[v]:
-                if child != p:
-                    parent[child] = v
-                    deeper.append(child)
-        if deeper:
-            levels.append(deeper)
-    up = [0] * g.n  # label of the edge from a vertex to its parent
-    below = [0] * g.n  # sum of labels on the edges to a vertex's children
-    # each tree's next label: its block starts after the n_i - 1 labels
-    # of every tree i before it
-    nxt = [s - t for t, s in enumerate(accumulate(map(len, trees), initial=1))]
-    for level in levels[:0:-1]:
-        if len(level) > 1:
-            # by (sum below, id); trees count on separately, so their
-            # vertices may interleave
-            level.sort()
-            level.sort(key=below.__getitem__)
-        for v in level:
-            t = tree_of[v]
-            x = nxt[t]
-            nxt[t] = x + 1
-            up[v] = x
-            below[parent[v]] += x
-    return EdgeLabeling(
-        g, tuple([up[v] if parent[v] == u else up[u] for u, v in g.edges]), base=0
-    )
+    return _label_levels(g, deg, tree_of, trees)
 
 
 def construct_odd_degree(g: Graph) -> EdgeLabeling:
-    """Same-degree-distinct-sum labeling for graphs whose degrees are all odd.
-
-    Components are labeled in order of least vertex id with consecutive
-    label blocks. Within a component, levels from a breadth-first root
-    (its lowest-id vertex of maximum degree) are handled deepest first;
-    each level labels its internal edges, then the trail edges of a
-    cross-block decomposition, then the reserved edge of each level vertex
-    in ascending order of the sum already at that vertex.
-
-    One pass over the edges files each into its level's internal or cross
-    block, labels go into a list by edge position, and every vertex sum is
-    kept as labels land, so the whole run is linear in the graph apart
-    from the sorts.
-    """
+    """Same-degree-distinct-sum labeling for graphs whose degrees are all odd."""
     deg = g.degrees()
     for v, d in enumerate(deg):
         if d % 2 == 0:
@@ -112,65 +55,97 @@ def construct_odd_degree(g: Graph) -> EdgeLabeling:
     for verts in comps:
         if len(verts) == 2:
             raise WrongGraphClass(f"component {tuple(sorted(verts))} is a single edge")
+    return _label_levels(g, deg, comp_of, comps)
+
+
+def _label_levels(
+    g: Graph, deg: list[int], comp_of: list[int], comps: list[list[int]]
+) -> EdgeLabeling:
+    """Label g by 1..m level by level, given its degrees and components.
+
+    Components take consecutive label blocks in order of least vertex id.
+    Each is layered breadth-first from its lowest-id vertex of maximum
+    degree and labeled deepest level first: the level's internal edges in
+    edge order, then the trail edges of its cross block's decomposition
+    (`find_sigma_and_trails`), then each level vertex's reserved edge up,
+    in ascending order of the sum already at the vertex (ties by id). Each
+    depth is labeled across all components at once, each on its own label
+    counter. In a forest (m = n minus the component count) a vertex's one
+    edge up is its parent edge, so no blocks or trails are built. The run
+    is linear in the graph apart from the sorts.
+    """
+    roots, top = [0] * len(comps), [-1] * len(comps)
+    for v, c in enumerate(comp_of):
+        if deg[v] > top[c]:
+            top[c] = deg[v]
+            roots[c] = v
+    # far end of each vertex's reserved edge up: its parent, unless sigma picks another
+    above = [-1] * g.n
+    for r in roots:
+        above[r] = r
     adj = g.adjacency()
-    edges = g.edges
-    depth = [-1] * g.n
-    levels: list[list[list[int]]] = []  # per component, its breadth-first levels
-    for verts in comps:
-        root = _root(verts, deg)
-        depth[root] = 0
-        layers = [[root]]
-        for i, layer in enumerate(layers):  # grows while it is walked
-            deeper = []
-            for w in layer:
-                for x in adj[w]:
-                    if depth[x] < 0:
-                        depth[x] = i + 1
-                        deeper.append(x)
-            if deeper:
-                layers.append(deeper)
-        levels.append(layers)
-    # per component and level: (its internal edge positions, its cross edges)
-    blocks = [[([], []) for _ in layers] for layers in levels]
-    for i, e in enumerate(edges):
-        du, dv = depth[e[0]], depth[e[1]]
-        level = blocks[comp_of[e[0]]]
-        if du == dv:
-            level[du][0].append(i)
-        else:
-            level[du if du > dv else dv][1].append(e)
-    pos = dict(zip(edges, range(g.m)))
-    labels = [0] * g.m
-    vsum = [0] * g.n
-    nxt = 1
-    for layers, level in zip(levels, blocks):
-        for d in range(len(layers) - 1, 0, -1):
-            intra, cross = level[d]
-            for i in intra:
-                u, v = edges[i]
-                labels[i] = nxt
-                vsum[u] += nxt
-                vsum[v] += nxt
-                nxt += 1
-            dec = find_sigma_and_trails(Graph(g.n, tuple(cross)), layers[d])
-            block = len(cross) - len(dec.sigma)  # the trail edges
-            for e, x in label_trails(dec, range(nxt, nxt + block)).items():
-                labels[pos[e]] = x
-                u, v = e
-                vsum[u] += x
-                vsum[v] += x
-            nxt += block
-            # every edge at a deep vertex but its reserved one is labeled
-            # now; a stable sort by that sum keeps ties in vertex order
-            sums = [vsum[w] for w, _ in dec.sigma]
-            ranked = map(dec.sigma.__getitem__, sorted(range(len(sums)), key=sums.__getitem__))
-            for x, (_, e) in zip(count(nxt), ranked):
-                labels[pos[e]] = x
-                u, v = e
-                vsum[u] += x
-                vsum[v] += x
-            nxt += len(sums)
-    return EdgeLabeling(g, tuple(labels), base=0)
+    levels = [roots]  # levels[d]: every component's depth-d vertices, component by component
+    for level in levels:  # grows while it is walked
+        deeper = []
+        for v in level:
+            for x in adj[v]:
+                if above[x] < 0:
+                    above[x] = v
+                    deeper.append(x)
+        if deeper:
+            levels.append(deeper)
+    forest = g.m == g.n - len(comps)
+    if not forest:
+        depth = [0] * g.n
+        blocks = [[] for _ in comps]  # per component and depth: (internal, cross edges up)
+        for d, level in enumerate(levels):
+            for v in level:
+                depth[v] = d
+            for c, _ in groupby(level, comp_of.__getitem__):
+                blocks[c].append(([], []))
+        for e in g.edges:
+            du, dv = depth[e[0]], depth[e[1]]
+            blocks[comp_of[e[0]]][du if du > dv else dv][du != dv].append(e)
+    # each component's next label, after the edges of those before it
+    sizes = (len(vs) - 1 if forest else sum(map(deg.__getitem__, vs)) // 2 for vs in comps)
+    nxt = list(accumulate(sizes, initial=1))
+    fixed: dict[Edge, int] = {}  # labels of the internal and trail edges
+    vsum = [0] * g.n  # the labels at each vertex so far, but its reserved one's
+    up = [0] * g.n  # the label of each vertex's reserved edge
+    for d in range(len(levels) - 1, 0, -1):
+        level = levels[d]
+        if not forest:
+            level = []  # each component's depth-d vertices, ascending
+            for c, deep in groupby(levels[d], comp_of.__getitem__):
+                inner, cross = blocks[c][d]
+                dec = find_sigma_and_trails(Graph(g.n, tuple(cross)), deep)
+                x = nxt[c] + len(inner)
+                new = dict(zip(inner, range(nxt[c], x)))
+                new.update(label_trails(dec, range(x, x + len(cross) - len(dec.sigma))))
+                for (u, v), y in new.items():
+                    vsum[u] += y
+                    vsum[v] += y
+                fixed.update(new)
+                nxt[c] += len(new)
+                for v, (a, b) in dec.sigma:
+                    above[v] = b if a == v else a
+                level += dec.deep
+        if len(level) > 1:
+            # by (sum so far, id) within a component; components count
+            # separately, so their vertices may interleave
+            if forest:
+                level.sort()
+            level.sort(key=vsum.__getitem__)
+        for v in level:
+            c = comp_of[v]
+            x = nxt[c]
+            nxt[c] = x + 1
+            up[v] = x
+            vsum[above[v]] += x
+    return EdgeLabeling(g, tuple([  # in a forest, each edge is one end's reserved edge
+        up[v] if above[v] == u else up[u] if forest or above[u] == v else fixed[u, v]
+        for u, v in g.edges
+    ]), base=0)
 
 
 def _strong_path_labels(n: int) -> list[int]:

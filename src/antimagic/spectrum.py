@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
+from collections.abc import Callable
 from contextvars import ContextVar
 from itertools import chain
 
@@ -370,20 +371,37 @@ def labeling_at(
 ) -> EdgeLabeling | None:
     """A k-shifted labeling of g, or None when shift k is infeasible.
 
-    `family` is the (name, params) of the `FAMILIES` entry that built g;
-    its constructor answers when it has one, else `decide` inside the
-    provable window and `lift` outside it. With an edge but no window no
-    shift is feasible: NoSddsFound proves that no labeling by 1..m has
-    distinct sums within each degree class, which a k-shifted one less k is.
+    `family` must be the (name, params) request of the `FAMILIES` entry
+    that built g (BadParameters if it names no entry or not exactly its
+    parameters; it is not checked against g). Its constructor answers
+    when it has one, else `decide` inside the provable window and `lift`
+    outside it. With an edge but no window no shift is feasible:
+    NoSddsFound proves that no labeling by 1..m has distinct sums within
+    each degree class, which a k-shifted one less k is.
     """
-    construct = None if family is None else FAMILIES[family[0]].construct
+    construct = _constructor(g, budget, family)
     if construct is not None:
-        return construct(k, g=g, budget=budget, **family[1])
+        return construct(k)
     try:
         win = finite_window(g, budget)
     except NoSddsFound:
         return None if g.m else decide(g, k, budget)
     return decide(g, k, budget) if win.lo <= k <= win.hi else lift(win, k)
+
+
+def _constructor(g: Graph, budget: int, family: tuple[str, dict] | None) -> Callable | None:
+    """`family`'s constructor for g as a function of k, or None without one;
+    BadParameters unless `family` names a `FAMILIES` entry and its parameters."""
+    if family is None:
+        return None
+    name, params = family if isinstance(family, tuple) and len(family) == 2 else (None, None)
+    entry = FAMILIES.get(name) if isinstance(name, str) else None
+    if entry is None or not isinstance(params, dict) or set(params) != set(entry.params):
+        need = "a name from FAMILIES" if entry is None else f"the parameters {list(entry.params)}"
+        raise BadParameters(f"family must be a (name, params) pair with {need}, got {family!r}")
+    if entry.construct is None:
+        return None
+    return lambda k: entry.construct(k, g=g, budget=budget, **params)
 
 
 class ShiftStatus(namedtuple("ShiftStatus", "k status via certificate")):
@@ -463,9 +481,11 @@ def spectrum(
     instead of brute force. The negation symmetry k <-> -(m+1)-k halves
     the brute-force work: only the upper half is decided, mirrors reuse it.
     Up to `budget` edges `decide` searches each shift, all sharing one
-    edge plan; past it `labeling_at` answers with `family`'s constructor.
-    A sweep past MAX_SWEEP_LABELS labels, or an override past MAX_SWEEP
-    shifts, raises BadParameters before any shift is swept.
+    edge plan; past it each shift is answered as `labeling_at` answers
+    it, from the one window built here. `family` must be the request
+    that built g and is checked as `labeling_at` checks it. A sweep past
+    MAX_SWEEP_LABELS labels, or an override past MAX_SWEEP shifts, raises
+    BadParameters before any shift is swept.
     """
     # past n = 2m+1 every search answers at once and needs no plan
     shared = g.m <= budget and g.n <= 2 * g.m + 1
@@ -496,6 +516,7 @@ def _sweep(
     g: Graph, window: tuple[int, int] | None, budget: int, family: tuple[str, dict] | None
 ) -> SpectrumReport:
     m = g.m
+    construct = _constructor(g, budget, family)
     if window is not None:
         _check_sweep(*window, m, MAX_SWEEP)
     try:
@@ -515,7 +536,10 @@ def _sweep(
 
     def decided(j: int) -> EdgeLabeling | None:
         if j not in cache:
-            cache[j] = decide(g, j, budget) if searched else labeling_at(g, j, budget, family)
+            if searched or construct is None and (win is not None or not m):
+                cache[j] = decide(g, j, budget)  # inside the window, as `labeling_at` does
+            else:  # the family's constructor; with an edge but no window, nothing
+                cache[j] = None if construct is None else construct(j)
         return cache[j]
 
     entries: list[ShiftStatus] = []

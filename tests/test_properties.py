@@ -7,7 +7,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antimagic.constructors import construct_forest_sdds, construct_path_strong
+from antimagic.constructors import (
+    construct_forest_sdds,
+    construct_odd_degree,
+    construct_path_strong,
+)
+from antimagic.families import double_star, star
 from antimagic.graph import (
     build_graph,
     canonical_edge,
@@ -23,7 +28,7 @@ from antimagic.labeling import (
     verify_shifted,
     vertex_sums,
 )
-from conftest import random_graph, random_labeling, random_tree
+from conftest import disjoint_union, random_graph, random_labeling, random_tree
 
 
 @st.composite
@@ -101,6 +106,21 @@ def test_forest_labelings_shift_past_the_threshold(n, seed, extra):
     f = construct_forest_sdds(t)
     k = sdds_shift_threshold(t) + extra
     assert verify_shifted(shift_labeling(f, k), k)
+
+
+# forests whose degrees are all odd: stars with an odd leaf count and
+# double stars whose centres have odd degree
+odd_trees = st.one_of(
+    st.builds(star, st.sampled_from([3, 5, 7, 9])),
+    st.builds(double_star, st.sampled_from([2, 4, 6]), st.sampled_from([2, 4, 6])),
+)
+
+
+@settings(max_examples=60)
+@given(st.lists(odd_trees, min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+def test_odd_degree_labels_an_all_odd_forest_as_the_forest_builder_does(trees, seed):
+    g = disjoint_union([(t.n, list(t.edges)) for t in trees], random.Random(seed))
+    assert construct_odd_degree(g).labels == construct_forest_sdds(g).labels
 
 
 @settings(max_examples=40)

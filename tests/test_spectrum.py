@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import permutations
@@ -21,7 +22,7 @@ from antimagic.constructors import (
     construct_two_s3,
 )
 from antimagic.errors import BadParameters, BudgetExceeded, NoSddsFound
-from antimagic.families import complete, cp3, path, petersen, star
+from antimagic.families import complete, cp3, cube, path, petersen, star
 from antimagic.graph import build_graph
 from antimagic.labeling import (
     EdgeLabeling,
@@ -40,6 +41,7 @@ from antimagic.spectrum import (
     closed_form_spectrum,
     decide,
     finite_window,
+    labeling_at,
     search_sdds,
     search_strong,
     spectrum,
@@ -253,6 +255,47 @@ def test_spectrum_caps_sweeps_by_labels(monkeypatch):
     # 79,404 shifts of 200 labels
     with pytest.raises(BadParameters, match=r"^sweep range -39802\.\.39601 of a 200-edge graph"):
         spectrum(star(200), family=("star", {"n": 200}))
+
+
+def test_a_sweep_builds_the_window_once(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args[0])
+        return finite_window(*args)
+
+    monkeypatch.setattr(spectrum_module, "finite_window", counting)
+    # past the budget without a constructor, every row of a windowless
+    # graph comes from its one NoSddsFound
+    pairs = build_graph(10_000, [(2 * i, 2 * i + 1) for i in range(5000)])
+    rep = spectrum(pairs, window=(0, 999))
+    assert len(built) == 1
+    assert rep.excluded == tuple(range(1000))
+    assert {row.via for row in rep.entries} == {"family"}
+    # and a graph with a window searches inside it, which the budget refuses
+    built.clear()
+    with pytest.raises(BudgetExceeded):
+        spectrum(cube())
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "family, need",
+    [
+        (("nope", {}), "a name from FAMILIES"),
+        (("path", {}), r"the parameters \['n'\]"),
+        (("path", {"n": 8, "a": 1}), r"the parameters \['n'\]"),
+        ("path", "a name from FAMILIES"),
+        (("path", 8), r"the parameters \['n'\]"),
+    ],
+)
+def test_a_bad_family_request_raises_bad_parameters(family, need):
+    message = rf"^family must be a \(name, params\) pair with {need}, got {re.escape(repr(family))}$"
+    with pytest.raises(BadParameters, match=message):
+        labeling_at(path(8), 0, family=family)
+    with pytest.raises(BadParameters, match=message):
+        spectrum(path(8), family=family)
+    assert labeling_at(path(8), 0, family=("path", {"n": 8})) is not None
 
 
 def test_spectrum_report_dict_shape():
