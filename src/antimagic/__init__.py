@@ -47,7 +47,6 @@ from .graph import (
     build_graph,
     canonical_edge,
     components,
-    format_edge_list,
     level_partition,
     parse_edge_list,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "decide",
     "double_star",
     "finite_window",
-    "format_edge_list",
     "is_sdds",
     "is_strongly_antimagic",
     "labeling_at",

@@ -21,7 +21,7 @@ from itertools import accumulate, groupby
 
 from .errors import BadParameters, WrongGraphClass
 from .families import cp3, double_star, p5prime, path, star, two_p4, two_s3
-from .graph import Edge, Graph, _component_vertices
+from .graph import Edge, Graph, _breadth_first, _component_vertices
 from .labeling import EdgeLabeling, mirror
 from .trails import find_sigma_and_trails, label_trails
 
@@ -79,21 +79,9 @@ def _label_levels(
         if deg[v] > top[c]:
             top[c] = deg[v]
             roots[c] = v
-    # far end of each vertex's reserved edge up: its parent, unless sigma picks another
-    above = [-1] * g.n
-    for r in roots:
-        above[r] = r
-    adj = g.adjacency()
-    levels = [roots]  # levels[d]: every component's depth-d vertices, component by component
-    for level in levels:  # grows while it is walked
-        deeper = []
-        for v in level:
-            for x in adj[v]:
-                if above[x] < 0:
-                    above[x] = v
-                    deeper.append(x)
-        if deeper:
-            levels.append(deeper)
+    # levels[d]: every component's depth-d vertices, component by component;
+    # above[v]: far end of v's reserved edge up, its parent unless sigma picks another
+    levels, above = _breadth_first(g, roots)
     forest = g.m == g.n - len(comps)
     if not forest:
         depth = [0] * g.n

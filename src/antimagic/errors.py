@@ -26,7 +26,7 @@ class CertificateError(AntimagicError):
 
 class BadParameters(AntimagicError):
     """A parameter is out of range: a family size, a shift below a
-    construction's threshold, a root or layer index, or a graph with no
+    construction's threshold, a root, or a graph with no
     vertices or edges where the operation needs some."""
 
 

@@ -213,42 +213,33 @@ def level_partition(g: Graph, root: int | None = None) -> LevelPartition:
         root = default_root(g)
     if not (0 <= root < g.n):
         raise BadParameters(f"root {root} is not a vertex of a {g.n}-vertex graph")
-    adj = g.adjacency()
-    seen = {root}
-    layers = [[root]]
-    while True:
-        nxt = []
-        for w in layers[-1]:
-            for nb in adj[w]:
-                if nb not in seen:
-                    seen.add(nb)
-                    nxt.append(nb)
-        if not nxt:
-            break
-        layers.append(nxt)
-    return LevelPartition(root, tuple(tuple(sorted(layer)) for layer in layers))
+    levels, _ = _breadth_first(g, [root])
+    return LevelPartition(root, tuple(tuple(sorted(layer)) for layer in levels))
 
 
-def layer_subgraphs(g: Graph, p: LevelPartition, i: int) -> tuple[Graph, Graph]:
-    """The level-i edge blocks: (edges within level i, edges to level i-1).
+def _breadth_first(g: Graph, roots: list[int]) -> tuple[list[list[int]], list[int]]:
+    """Breadth-first layers from all `roots` at once, and each vertex's parent.
 
-    Both are returned on the full vertex range of g so ids stay stable.
+    `levels[d]` holds the depth-d vertices in the order they were found,
+    so those reached from earlier roots come first. `parent[v]` is the
+    vertex that found v: a root's parent is itself, an unreached vertex's
+    is -1.
     """
-    if not (1 <= i <= p.d):
-        raise BadParameters(f"layer {i} out of range 1..{p.d}")
-    here = set(p.levels[i])
-    above = set(p.levels[i - 1])
     adj = g.adjacency()
-    intra: list[Edge] = []
-    cross: list[Edge] = []
-    for v in p.levels[i]:
-        for w in adj[v]:
-            if w in here:
-                if v < w:
-                    intra.append((v, w))
-            elif w in above:
-                cross.append(canonical_edge(v, w))
-    return build_graph(g.n, intra), build_graph(g.n, cross)
+    parent = [-1] * g.n
+    for r in roots:
+        parent[r] = r
+    levels = [list(roots)]
+    for level in levels:  # grows while it is walked
+        deeper = []
+        for v in level:
+            for x in adj[v]:
+                if parent[x] < 0:
+                    parent[x] = v
+                    deeper.append(x)
+        if deeper:
+            levels.append(deeper)
+    return levels, parent
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -274,6 +265,9 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"line {no}: expected two integers in header, got {header!r}") from None
     if n < 0 or m < 0:
         raise ParseError(f"line {no}: counts must be nonnegative")
+    for no, line in body[1:]:
+        if not line:  # an interior one: the trailing ones are gone
+            raise ParseError(f"line {no}: expected 'u v', got a blank line")
     if len(body) - 1 != m:
         raise ParseError(
             f"line {body[-1][0] if len(body) > 1 else no}: "
@@ -293,9 +287,3 @@ def parse_edge_list(text: str) -> Graph:
         return build_graph(n, edges)
     except InvalidGraph as exc:
         raise ParseError(f"invalid edge list: {exc}") from exc
-
-
-def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"

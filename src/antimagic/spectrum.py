@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from collections.abc import Callable
-from contextvars import ContextVar
+from functools import lru_cache
 from itertools import chain
 
 from . import families
@@ -66,8 +66,13 @@ def _plan(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:
     return plan
 
 
+@lru_cache(maxsize=1)
 def _steps(g: Graph) -> tuple[list, list, list]:
     """`_plan(g)` together with what the two pruning rules of `_assign` read.
+
+    Cached for the last graph asked about, by value: a plan depends only
+    on n and the edges, so the strong search and every decide of one
+    sweep, or of a window and a shift inside it, share one plan.
 
     Returns (plan, pruned, rules). `rules[t]` is None, or (forced,
     pendant) for a step t at which `_assign` prunes before it tries a
@@ -106,18 +111,6 @@ def _steps(g: Graph) -> tuple[list, list, list]:
     return plan, pruned, rules
 
 
-# (graph, its `_steps`) for the duration of one `spectrum` call, so that
-# its strong search and every decide of its sweep share one plan while
-# `search_strong` and `decide` keep their public signatures. A context
-# variable, so that concurrent calls in other threads never see it.
-_SWEEP_STEPS: ContextVar[tuple[Graph, tuple] | None] = ContextVar("sweep_steps", default=None)
-
-
-def _steps_for(g: Graph) -> tuple[list, list, list]:
-    held = _SWEEP_STEPS.get()
-    return held[1] if held is not None and held[0] is g else _steps(g)
-
-
 def _assign(g: Graph, pool: list[int], rule: str) -> tuple[int, ...] | None:
     """Backtracking injection of pool labels onto edges under a sum rule.
 
@@ -136,7 +129,7 @@ def _assign(g: Graph, pool: list[int], rule: str) -> tuple[int, ...] | None:
     subtrees that hold no labeling, so the first labeling found is the
     same as without them.
     """
-    plan, pruned, rules = _steps_for(g)
+    plan, pruned, rules = _steps(g)
     deg = g.degrees()
     m = g.m
     if rule == "sdds":
@@ -480,41 +473,13 @@ def spectrum(
     provable window are certified by the shift and negation arguments
     instead of brute force. The negation symmetry k <-> -(m+1)-k halves
     the brute-force work: only the upper half is decided, mirrors reuse it.
-    Up to `budget` edges `decide` searches each shift, all sharing one
-    edge plan; past it each shift is answered as `labeling_at` answers
+    Up to `budget` edges `decide` searches each shift, on the edge plan
+    cached for g; past it each shift is answered as `labeling_at` answers
     it, from the one window built here. `family` must be the request
     that built g and is checked as `labeling_at` checks it. A sweep past
     MAX_SWEEP_LABELS labels, or an override past MAX_SWEEP shifts, raises
     BadParameters before any shift is swept.
     """
-    # past n = 2m+1 every search answers at once and needs no plan
-    shared = g.m <= budget and g.n <= 2 * g.m + 1
-    token = _SWEEP_STEPS.set((g, _steps(g))) if shared else None
-    try:
-        return _sweep(g, window, budget, family)
-    finally:
-        if token is not None:
-            _SWEEP_STEPS.reset(token)
-
-
-def _check_sweep(lo: int, hi: int, m: int, most: float) -> None:
-    """Refuse lo..hi if empty or past `most` shifts or MAX_SWEEP_LABELS labels."""
-    if lo > hi:
-        raise BadParameters(f"empty sweep range {lo}..{hi}")
-    if hi - lo >= most:
-        raise BadParameters(
-            f"sweep range {lo}..{hi} holds {hi - lo + 1} shifts, more than the {most} allowed"
-        )
-    if (hi - lo + 1) * m > MAX_SWEEP_LABELS:
-        raise BadParameters(
-            f"sweep range {lo}..{hi} of a {m}-edge graph holds {(hi - lo + 1) * m} labels,"
-            f" more than the {MAX_SWEEP_LABELS} allowed"
-        )
-
-
-def _sweep(
-    g: Graph, window: tuple[int, int] | None, budget: int, family: tuple[str, dict] | None
-) -> SpectrumReport:
     m = g.m
     construct = _constructor(g, budget, family)
     if window is not None:
@@ -558,6 +523,21 @@ def _sweep(
         else:
             entries.append(ShiftStatus(k, "feasible", via, found))
     return SpectrumReport(g, win, sweep_lo, sweep_hi, tuple(excluded), tuple(entries))
+
+
+def _check_sweep(lo: int, hi: int, m: int, most: float) -> None:
+    """Refuse lo..hi if empty or past `most` shifts or MAX_SWEEP_LABELS labels."""
+    if lo > hi:
+        raise BadParameters(f"empty sweep range {lo}..{hi}")
+    if hi - lo >= most:
+        raise BadParameters(
+            f"sweep range {lo}..{hi} holds {hi - lo + 1} shifts, more than the {most} allowed"
+        )
+    if (hi - lo + 1) * m > MAX_SWEEP_LABELS:
+        raise BadParameters(
+            f"sweep range {lo}..{hi} of a {m}-edge graph holds {(hi - lo + 1) * m} labels,"
+            f" more than the {MAX_SWEEP_LABELS} allowed"
+        )
 
 
 class AllShifts:
@@ -615,6 +595,7 @@ def _double_star_excluded(a: int | None, b: int | None) -> frozenset[int]:
 def _cp3_excluded(c: int | None) -> frozenset[int]:
     if c is None or c < 1:
         raise BadParameters("need a component count c >= 1")
+    families._check_size("cp3", 2 * c)  # the set holds about 3c shifts
     return frozenset(range(-((5 * c) // 2), c // 2))
 
 

@@ -26,6 +26,11 @@ def random_graph(rng: random.Random, n: int, m: int) -> Graph:
     return build_graph(n, rng.sample(pool, m))
 
 
+def edge_list_text(g: Graph) -> str:
+    """g in the plain text format `parse_edge_list` reads."""
+    return "".join([f"{g.n} {g.m}\n", *(f"{u} {v}\n" for u, v in g.edges)])
+
+
 def random_labeling(rng: random.Random, g: Graph, k: int) -> EdgeLabeling:
     """Random bijection from the edges of g onto {k+1, ..., k+m}."""
     labels = list(range(k + 1, k + g.m + 1))

@@ -42,10 +42,11 @@ from antimagic.labeling import (
     verify_shifted,
     vertex_sums,
 )
-from antimagic.graph import layer_subgraphs, level_partition
+from antimagic.graph import level_partition
 from antimagic.spectrum import ALL_SHIFTS, closed_form_spectrum, decide, spectrum
 from antimagic.trails import find_sigma_and_trails
 from conftest import random_graph, random_labeling, random_tree
+from test_odd_degree_oracle import seed_layer_subgraphs
 
 
 def enumerate_shift(g, k):
@@ -117,7 +118,7 @@ def test_criterion_3_odd_degree_constructions():
 
         p = level_partition(g)
         for depth in range(1, p.d + 1):
-            _, cross = layer_subgraphs(g, p, depth)
+            _, cross = seed_layer_subgraphs(g, p, depth)
             dec = find_sigma_and_trails(cross, p.levels[depth])
             dec.validate()
             shallow = set(p.levels[depth - 1])

@@ -34,6 +34,12 @@ def sample_doc():
     return labeling_to_certificate(construct_path_shifted(8, -3))
 
 
+@pytest.mark.parametrize("doc", [[], "x", 3, None])
+def test_check_certificate_refuses_a_document_that_is_not_an_object(doc):
+    with pytest.raises(CertificateError, match="^certificate must be a JSON object$"):
+        check_certificate(doc)
+
+
 def test_round_trip_preserves_labels_and_shift():
     doc = sample_doc()
     assert doc["k"] == -3

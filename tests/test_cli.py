@@ -163,6 +163,13 @@ def test_verify_garbage_json_exits_one(tmp_path, capsys):
     assert "error" in err
 
 
+def test_verify_a_json_array_exits_one(tmp_path, capsys):
+    bad = tmp_path / "array.json"
+    bad.write_text("[]")
+    code, out, err = run_cli(capsys, "verify", str(bad))
+    assert (code, out, err) == (1, "", "error: certificate must be a JSON object\n")
+
+
 def test_decide_exit_codes(tmp_path, capsys):
     g = tmp_path / "p4.txt"
     g.write_text("4 3\n0 1\n1 2\n2 3\n")
@@ -319,6 +326,11 @@ def test_bad_window_string_exits_one(tmp_path, capsys):
                            "--window", "five")
     assert code == 1
     assert "error" in err
+
+
+def test_non_integer_window_bounds_exit_one(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--family", "p6", "--window=a:b")
+    assert (code, out, err) == (1, "", "error: window bounds must be integers, got 'a:b'\n")
 
 
 def test_usage_errors_exit_one(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 
 import networkx as nx
@@ -20,12 +21,10 @@ from antimagic.graph import (
     canonical_edge,
     components,
     default_root,
-    format_edge_list,
-    layer_subgraphs,
     level_partition,
     parse_edge_list,
 )
-from conftest import random_graph, random_tree
+from conftest import edge_list_text, random_graph, random_tree
 
 
 def test_canonical_edge_orders_endpoints():
@@ -147,26 +146,11 @@ def test_level_partition_matches_bfs_oracle():
         checked += 1
 
 
-def test_layer_subgraphs_split():
-    g = complete_bipartite(3, 3)
-    p = level_partition(g)
-    intra, cross = layer_subgraphs(g, p, 2)
-    assert intra.edges == ()
-    assert set(cross.edges) == {
-        (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)
-    }
-    intra1, cross1 = layer_subgraphs(g, p, 1)
-    assert intra1.edges == ()
-    assert set(cross1.edges) == {(0, 3), (0, 4), (0, 5)}
-
-
-def test_layer_subgraphs_rejects_bad_level():
-    g = path(4)
-    p = level_partition(g)
-    with pytest.raises(BadParameters, match="layer 0 out of range 1..2"):
-        layer_subgraphs(g, p, 0)
-    with pytest.raises(BadParameters, match="layer 3 out of range 1..2"):
-        layer_subgraphs(g, p, p.d + 1)
+def test_family_builders_refuse_empty_parts():
+    with pytest.raises(BadParameters, match=r"^need at least one vertex, got 0$"):
+        families.complete(0)
+    with pytest.raises(BadParameters, match=r"^parts must be nonempty, got \(0, 1\)$"):
+        complete_bipartite(0, 1)
 
 
 def test_family_builders_refuse_more_edges_than_the_cap(monkeypatch):
@@ -192,7 +176,7 @@ def test_parse_format_round_trip():
         n = rng.randint(1, 10)
         m = rng.randint(0, n * (n - 1) // 2)
         g = random_graph(rng, n, m)
-        assert parse_edge_list(format_edge_list(g)) == g
+        assert parse_edge_list(edge_list_text(g)) == g
 
 
 def test_parse_edge_list_reports_line_numbers():
@@ -202,11 +186,31 @@ def test_parse_edge_list_reports_line_numbers():
         parse_edge_list("3 2\n0 1\n1 x\n")
     with pytest.raises(ParseError):
         parse_edge_list("3 2\n0 1\n")
+    # the first interior blank line, not the last line
+    with pytest.raises(ParseError, match=r"^line 3: expected 'u v', got a blank line$"):
+        parse_edge_list("3 2\n0 1\n\n1 2\n")
+    with pytest.raises(ParseError, match=r"^line 2: "):
+        parse_edge_list("3 1\n\n\n0 1\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "line 1: expected header 'n m'"),
+        ("a b\n", "line 1: expected two integers in header, got 'a b'"),
+        ("-1 0\n", "line 1: counts must be nonnegative"),
+        ("2 1\n0 0\n", "invalid edge list: edge (0, 0) is a loop"),
+    ],
+)
+def test_parse_edge_list_rejects_bad_headers_and_loops(text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_edge_list(text)
 
 
 def test_parse_tree_example():
     g = parse_edge_list("4 3\n0 1\n1 2\n2 3\n")
     assert g == path(4)
+    assert parse_edge_list("4 3\n0 1\n1 2\n2 3\n\n  \n") == g
 
 
 # --- networkx cross-checks -------------------------------------------------

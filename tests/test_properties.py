@@ -17,7 +17,6 @@ from antimagic.graph import (
     build_graph,
     canonical_edge,
     components,
-    format_edge_list,
     level_partition,
     parse_edge_list,
 )
@@ -28,7 +27,7 @@ from antimagic.labeling import (
     verify_shifted,
     vertex_sums,
 )
-from conftest import disjoint_union, random_graph, random_labeling, random_tree
+from conftest import disjoint_union, edge_list_text, random_graph, random_labeling, random_tree
 
 
 @st.composite
@@ -132,7 +131,7 @@ def test_strong_path_labelings_shift_to_any_nonnegative_k(n, k):
 
 @given(graphs())
 def test_edge_list_text_round_trips(g):
-    assert parse_edge_list(format_edge_list(g)) == g
+    assert parse_edge_list(edge_list_text(g)) == g
 
 
 @given(graphs(min_n=2, min_m=1), st.integers(-10, 10))

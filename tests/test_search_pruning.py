@@ -268,11 +268,12 @@ def test_every_shift_of_the_families_the_rules_target():
             assert_same_search(g, k)
 
 
-def test_a_spectrum_builds_one_plan_and_keeps_none(monkeypatch):
+def test_a_spectrum_builds_one_plan_and_keeps_one_at_most(monkeypatch):
     calls = []
     plan = search._plan
     monkeypatch.setattr(search, "_plan", lambda g: calls.append(g) or plan(g))
+    search._steps.cache_clear()
     g = double_star(2, 3)
     spectrum(g)
     assert calls == [g]
-    assert search._SWEEP_STEPS.get() is None
+    assert search._steps.cache_info().maxsize == 1

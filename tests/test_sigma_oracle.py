@@ -15,9 +15,10 @@ from collections.abc import Iterable, Sequence
 
 from antimagic.errors import InvalidTrails
 from antimagic.families import complete, complete_bipartite, cube, petersen
-from antimagic.graph import Edge, Graph, build_graph, layer_subgraphs, level_partition
+from antimagic.graph import Edge, Graph, build_graph, level_partition
 from antimagic.trails import TrailDecomposition, _classify, find_sigma_and_trails
 from conftest import k32_blocks
+from test_odd_degree_oracle import seed_layer_subgraphs
 
 # --- verbatim copy of the replaced search -----------------------------------
 # (only its exception class renamed to the one that replaced it)
@@ -199,7 +200,7 @@ def level_blocks(g: Graph):
     for root in range(g.n):
         p = level_partition(g, root)
         for depth in range(1, p.d + 1):
-            yield layer_subgraphs(g, p, depth)[1], p.levels[depth]
+            yield seed_layer_subgraphs(g, p, depth)[1], p.levels[depth]
 
 
 def test_same_decomposition_on_every_level_block_of_the_families():

@@ -7,11 +7,13 @@ import random
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
 from pathlib import Path
 
 import pytest
 
+from antimagic import families
 from antimagic.constructors import (
     construct_cp3,
     construct_double_star,
@@ -298,6 +300,22 @@ def test_a_bad_family_request_raises_bad_parameters(family, need):
     assert labeling_at(path(8), 0, family=("path", {"n": 8})) is not None
 
 
+def test_spectra_on_four_threads_match_a_sequential_run():
+    # the threads share the one cached plan, each replacing it in turn
+    requests = (
+        [("star", {"n": n}) for n in range(2, 8)]
+        + [("path", {"n": n}) for n in range(3, 9)]
+        + [("double_star", {"a": a, "b": b}) for a, b in [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]]
+        + [("cp3", {"c": c}) for c in (1, 2, 3)]
+        + [("two_p4", {}), ("two_s3", {}), ("p5prime", {})]
+    )
+    graphs = [FAMILIES[name].build(**params) for name, params in requests]
+    sequential = [spectrum(g).to_dict() for g in graphs]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(lambda g: spectrum(g).to_dict(), graphs))
+    assert threaded == sequential
+
+
 def test_spectrum_report_dict_shape():
     doc = spectrum(path(5)).to_dict()
     assert doc["n"] == 5 and doc["m"] == 4
@@ -374,6 +392,26 @@ def test_closed_form_rejects_unknown():
         closed_form_spectrum("wheel", n=5)
     with pytest.raises(BadParameters):
         closed_form_spectrum("path")
+
+
+def test_closed_form_rejects_parameters_below_range():
+    for family, params, message in [
+        ("star", {"n": 0}, "star needs a leaf count n >= 1"),
+        ("double_star", {"a": 0, "b": 3}, "double star needs a, b >= 1"),
+        ("cp3", {"c": 0}, "need a component count c >= 1"),
+    ]:
+        with pytest.raises(BadParameters, match=f"^{message}$"):
+            closed_form_spectrum(family, **params)
+
+
+def test_closed_form_cp3_refuses_what_the_family_builder_refuses(monkeypatch):
+    # the set holds about 3c shifts; past the edge cap it is not built
+    monkeypatch.setattr(families, "MAX_EDGES", 12)
+    assert closed_form_spectrum("cp3", c=6) == frozenset(range(-15, 3))
+    with pytest.raises(BadParameters, match=r"^cp3 would have 14 edges, more than the 12 allowed$"):
+        closed_form_spectrum("cp3", c=7)
+    with pytest.raises(BadParameters, match=r"^cp3 would have 14 edges, more than the 12 allowed$"):
+        cp3(7)
 
 
 def test_closed_form_rejects_families_without_one():

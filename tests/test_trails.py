@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from antimagic.constructors import construct_odd_degree
 from antimagic.errors import InvalidTrails
 from antimagic.families import complete, complete_bipartite, cube
-from antimagic.graph import build_graph, layer_subgraphs, level_partition
+from antimagic.graph import build_graph, level_partition
 from antimagic.labeling import is_sdds
 from antimagic.trails import (
     Trail,
@@ -21,11 +21,12 @@ from antimagic.trails import (
     label_trails,
 )
 from conftest import k32_blocks, k32_fan, pairing_regular
+from test_odd_degree_oracle import seed_layer_subgraphs
 
 
 def cross_block(g, depth):
     p = level_partition(g)
-    _, cross = layer_subgraphs(g, p, depth)
+    _, cross = seed_layer_subgraphs(g, p, depth)
     return cross, p.levels[depth]
 
 
@@ -235,5 +236,5 @@ def test_odd_degree_graphs_always_get_a_sigma(g):
     for root in range(g.n):
         p = level_partition(g, root)
         for depth in range(1, p.d + 1):
-            _, cross = layer_subgraphs(g, p, depth)
+            _, cross = seed_layer_subgraphs(g, p, depth)
             find_sigma_and_trails(cross, p.levels[depth]).validate()
