@@ -15,6 +15,9 @@ from .certificate import (
     labeling_to_certificate,
 )
 from .constructors import (
+    ALL_SHIFTS,
+    AllShifts,
+    closed_form_spectrum,
     construct_cp3,
     construct_double_star,
     construct_forest_sdds,
@@ -62,11 +65,8 @@ from .labeling import (
     vertex_sums,
 )
 from .spectrum import (
-    ALL_SHIFTS,
-    AllShifts,
     SpectrumReport,
     WindowResult,
-    closed_form_spectrum,
     decide,
     finite_window,
     labeling_at,

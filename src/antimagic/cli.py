@@ -20,16 +20,17 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .certificate import _check_certificate, labeling_to_certificate
-from .constructors import p3_threshold
+from .constructors import ALL_SHIFTS, FAMILIES, SHORTHANDS, p3_threshold
 from .errors import AntimagicError, BadParameters, CertificateError
 from .graph import Graph, parse_edge_list
-from .spectrum import ALL_SHIFTS, DEFAULT_BUDGET, FAMILIES, decide, labeling_at, spectrum
+from .spectrum import DEFAULT_BUDGET, decide, labeling_at, spectrum
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REJECT = 2
 
-_FAMILY_HELP = f"{', '.join(FAMILIES)}; shorthands like p7 (path) and s4 (star)"
+_SHORTHAND_HELP = ", ".join(f"{short}N ({name})" for short, name in SHORTHANDS.items())
+_FAMILY_HELP = f"{', '.join(FAMILIES)}; shorthands {_SHORTHAND_HELP}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,10 +126,10 @@ def _json_pieces(value: object, nl: str):
 def _build_family(args: argparse.Namespace) -> tuple[Graph, tuple[str, dict]]:
     """Resolve --family into a graph plus its registry name and parameters."""
     name = args.family.strip().lower().replace("-", "_")
-    short = re.fullmatch(r"([ps])(\d+)", name)
-    if short:
-        name = {"p": "path", "s": "star"}[short.group(1)]
-        params = {"n": int(short.group(2))}
+    short = re.fullmatch(r"(\D+)(\d+)", name)
+    if short and short.group(1) in SHORTHANDS:
+        name = SHORTHANDS[short.group(1)]
+        params = dict.fromkeys(FAMILIES[name].params, int(short.group(2)))
     elif name in FAMILIES:
         params = {key: getattr(args, key, None) for key in FAMILIES[name].params}
         for key, value in params.items():

@@ -11,16 +11,23 @@ for an exact shift k, or None when that shift is provably infeasible
 for the family. Each takes the family graph to label as an optional
 keyword `g`, used as is; without it, the constructor builds the graph
 itself.
+
+The module closes with the registry of named families, `FAMILIES`, their
+closed-form spectra and the command line's `SHORTHANDS`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
 from itertools import accumulate, groupby
 
-from .errors import BadParameters, WrongGraphClass
-from .families import cp3, double_star, p5prime, path, star, two_p4, two_s3
+from .errors import BadParameters, WrongGraphClass, require_int
+from .families import (
+    _check_size, complete, complete_bipartite, cp3, cube, cycle, double_star, p5prime, path,
+    petersen, star, two_p4, two_s3,
+)
 from .graph import Edge, Graph, _breadth_first, _component_vertices
 from .labeling import EdgeLabeling, mirror
 from .trails import find_sigma_and_trails, label_trails
@@ -390,3 +397,160 @@ def p3_threshold(m: int) -> int:
     while (1 + m + 2 * c) * (m + 2 * c) >= (1 + m + 5 * c) * (c - m):
         c += 1
     return c
+
+
+class AllShifts:
+    """Exclusion set meaning every shift is infeasible."""
+
+    def __contains__(self, k: object) -> bool:
+        return True
+
+    def __repr__(self) -> str:
+        return "AllShifts()"
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, AllShifts)
+
+    def __hash__(self) -> int:
+        return hash("AllShifts")
+
+
+ALL_SHIFTS = AllShifts()
+
+
+def _path_excluded(n: int | None) -> frozenset[int] | AllShifts:
+    if n is None or n < 2:
+        raise BadParameters("path needs n >= 2")
+    if n == 2:
+        return ALL_SHIFTS
+    return {3: frozenset({-2, -1}), 4: frozenset({-2}), 5: frozenset({-3, -2})}.get(n, frozenset())
+
+
+def _star_excluded(n: int | None) -> frozenset[int] | AllShifts:
+    if n is None or n < 1:
+        raise BadParameters("star needs a leaf count n >= 1")
+    if n == 1:
+        return ALL_SHIFTS
+    if n % 2 == 0:
+        return frozenset({-n // 2 - 1, -n // 2})
+    return frozenset({-(n + 1) // 2})
+
+
+def _double_star_excluded(a: int | None, b: int | None) -> frozenset[int]:
+    if a is None or b is None or a < 1 or b < 1:
+        raise BadParameters("double star needs a, b >= 1")
+    big, small = max(a, b), min(a, b)
+    if small >= 2:
+        return frozenset()
+    if big == 1:
+        return frozenset({-2})
+    if big == 2:
+        return frozenset({-3, -2})
+    if big % 2 == 1:
+        return frozenset({-(big + 3) // 2})
+    return frozenset()
+
+
+def _cp3_excluded(c: int | None) -> frozenset[int]:
+    if c is None or c < 1:
+        raise BadParameters("need a component count c >= 1")
+    _check_size("cp3", 2 * c)  # the set holds about 3c shifts
+    return frozenset(range(-((5 * c) // 2), c // 2))
+
+
+def _construct_path(k: int, g: Graph, search: Callable, n: int) -> EdgeLabeling | None:
+    # the single edge has no labeling; below six vertices, search
+    if n == 2:
+        return None
+    if n >= 6:
+        return construct_path_shifted(n, k, g=g)
+    return search(k)
+
+
+def _construct_cp3(k: int, g: Graph, search: Callable, c: int) -> EdgeLabeling | None:
+    # from c//2 down to the mirror axis lies the excluded band
+    return mirror(lambda j: construct_cp3(c, j, g=g) if j >= c // 2 else None, g.m, k)
+
+
+class Family(namedtuple("Family", "params build construct excluded", defaults=(None, None))):
+    """A graph family known by name, built by `build(**params)`.
+
+    `params` names the keyword parameters. `construct(k, g=graph,
+    search=search, **params)` returns a k-shifted labeling of that very
+    graph (`f.graph is g`) or None when k is infeasible; `search(k)`
+    decides shift k on g exhaustively, for the paths too short for a
+    construction. `excluded(**params)` gives the closed-form infeasible
+    shifts, and raises BadParameters on a parameter out of range or
+    None. Either may be None where the family has none.
+    """
+
+    __slots__ = ()
+
+
+# Adding a family means adding one entry here. Entries call builders and
+# constructors by this module's names, so a function rebound here is the one called.
+FAMILIES: dict[str, Family] = {
+    "path": Family(("n",), lambda n: path(n), _construct_path, _path_excluded),
+    "star": Family(
+        ("n",),
+        lambda n: star(n),
+        lambda k, g, n, **_: None if n == 1 else construct_star(n, k, g=g),
+        _star_excluded,
+    ),
+    "double_star": Family(
+        ("a", "b"),
+        lambda a, b: double_star(a, b),
+        lambda k, g, a, b, **_: construct_double_star(a, b, k, g=g),
+        _double_star_excluded,
+    ),
+    "cp3": Family(("c",), lambda c: cp3(c), _construct_cp3, _cp3_excluded),
+    "two_p4": Family(
+        (),
+        lambda: two_p4(),
+        lambda k, g, **_: construct_two_p4(k, g=g),
+        lambda: frozenset({-5, -2}),
+    ),
+    "two_s3": Family(
+        (),
+        lambda: two_s3(),
+        lambda k, g, **_: construct_two_s3(k, g=g),
+        lambda: frozenset({-5, -2}),
+    ),
+    "p5prime": Family(
+        (),
+        lambda: p5prime(),
+        lambda k, g, **_: construct_p5prime(k, g=g),
+        lambda: frozenset({-3}),
+    ),
+    "cycle": Family(("n",), lambda n: cycle(n)),
+    "complete": Family(("n",), lambda n: complete(n)),
+    "complete_bipartite": Family(("a", "b"), lambda a, b: complete_bipartite(a, b)),
+    "cube": Family((), lambda: cube()),
+    "petersen": Family((), lambda: petersen()),
+}
+
+# Command-line shorthands: `p7` is the path on 7 vertices, `s4` the star with 4 leaves.
+SHORTHANDS = {"p": "path", "s": "star"}
+
+
+def closed_form_spectrum(
+    family: str,
+    n: int | None = None,
+    a: int | None = None,
+    b: int | None = None,
+    c: int | None = None,
+) -> frozenset[int] | AllShifts:
+    """The known excluded-shift set for a named family.
+
+    Returns a frozenset of infeasible shifts, or ALL_SHIFTS for the
+    single-edge graph where no shift works. BadParameters for a family
+    without one, or a parameter that is neither None nor an int.
+    """
+    entry = FAMILIES.get(family) if isinstance(family, str) else None
+    if entry is None or entry.excluded is None:
+        raise BadParameters(f"no closed form for family {family!r}")
+    given = {"n": n, "a": a, "b": b, "c": c}
+    for key, value in given.items():
+        if value is not None:
+            require_int(f"{family} parameter {key}", value)
+    return entry.excluded(**{key: given[key] for key in entry.params})

@@ -3,8 +3,11 @@
 Everything derives from AntimagicError so callers can catch toolkit
 failures with a single except clause. Infeasibility of a labeling
 problem is never an exception; constructors return None and the
-spectrum engine records a verdict instead.
+spectrum engine records a verdict instead. `require_int` is the one
+check that a shift, budget, window bound or family parameter is an int.
 """
+
+import reprlib
 
 
 class AntimagicError(Exception):
@@ -13,7 +16,8 @@ class AntimagicError(Exception):
 
 class InvalidGraph(AntimagicError):
     """An edge list is not a simple graph on vertices 0..n-1: a loop, a
-    repeated vertex pair, or a vertex count or endpoint out of range."""
+    repeated vertex pair, a vertex count or endpoint out of range, or
+    edges handed to `Graph` that are not a tuple."""
 
 
 class ParseError(AntimagicError):
@@ -25,9 +29,9 @@ class CertificateError(AntimagicError):
 
 
 class BadParameters(AntimagicError):
-    """A parameter is out of range: a family size, a shift below a
-    construction's threshold, a root, or a graph with no
-    vertices or edges where the operation needs some."""
+    """A parameter is out of range or not an int: a family size, a shift
+    below a construction's threshold, a budget, a window, a root, or a
+    graph with no vertices or edges where the operation needs some."""
 
 
 class InvalidLabeling(AntimagicError):
@@ -52,3 +56,9 @@ class BudgetExceeded(AntimagicError):
 
 class NoSddsFound(AntimagicError):
     """No labeling with distinct same-degree sums could be established."""
+
+
+def require_int(what: str, value: object) -> None:
+    """Raise BadParameters unless `value` is a plain int (a bool is not)."""
+    if type(value) is not int:
+        raise BadParameters(f"{what} must be an int, got {reprlib.repr(value)}")

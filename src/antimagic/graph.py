@@ -24,8 +24,20 @@ class Graph(namedtuple("Graph", "n edges")):
 
     `n` is the vertex count, `edges` the canonical edge tuple. Unlike the
     other records, a graph has an instance dict: it holds the cached
-    adjacency and degrees, and is written only by those caches.
+    adjacency and degrees, and is written only by those caches. Edges
+    that are not a tuple raise InvalidGraph; nothing else is checked.
     """
+
+    def __new__(cls, n: int, edges: tuple[Edge, ...]) -> Graph:
+        if not isinstance(edges, tuple):
+            kind = type(edges).__name__
+            raise InvalidGraph(f"edges must be a tuple, got {kind}; build_graph takes any edge list")
+        return tuple.__new__(cls, (n, edges))
+
+    @classmethod
+    def _make(cls, iterable) -> Graph:
+        # `_replace` builds through `_make`; both keep the tuple check
+        return cls(*iterable)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign {name!r}: a Graph is immutable")

@@ -10,25 +10,15 @@ negation symmetry halving the work, and lemma certificates outside it.
 from __future__ import annotations
 
 import math
+import reprlib
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from collections.abc import Callable
 from functools import lru_cache
 from itertools import chain
 
-from . import families
-from .constructors import (
-    construct_cp3,
-    construct_double_star,
-    construct_forest_sdds,
-    construct_odd_degree,
-    construct_p5prime,
-    construct_path_shifted,
-    construct_star,
-    construct_two_p4,
-    construct_two_s3,
-)
-from .errors import BadParameters, BudgetExceeded, NoSddsFound, WrongGraphClass
+from .constructors import ALL_SHIFTS, FAMILIES, construct_forest_sdds, construct_odd_degree
+from .errors import BadParameters, BudgetExceeded, NoSddsFound, WrongGraphClass, require_int
 from .graph import Graph
 from .labeling import EdgeLabeling, mirror, sdds_shift_threshold, shift_labeling
 
@@ -271,11 +261,14 @@ def _assign(g: Graph, pool: list[int], rule: str) -> tuple[int, ...] | None:
 
 def _search(g: Graph, budget: int, k: int, rule: str) -> EdgeLabeling | None:
     """A k-shifted labeling under `rule` from `_assign`, or None; raises
-    BudgetExceeded past `budget` edges.
+    BudgetExceeded past `budget` edges, and BadParameters unless k and
+    `budget` are ints.
 
     Past n = 2m+1 two vertices are isolated and share the sum 0 under
     every rule, so the answer is None at once, without a per-vertex list.
     """
+    require_int("shift", k)
+    require_int("budget", budget)
     if g.m > budget:
         raise BudgetExceeded(
             f"{g.m} edges exceeds the exhaustive-search budget of {budget}"
@@ -321,6 +314,7 @@ def finite_window(g: Graph, budget: int = DEFAULT_BUDGET) -> WindowResult:
     [-(h+m+1), h] open where h is the shift threshold. Raises NoSddsFound
     when no such certificate exists at all.
     """
+    require_int("budget", budget)
     # the first two checks read only the edge endpoints, so a huge vertex
     # count costs nothing: at most 2m vertices touch an edge
     touches = Counter(chain.from_iterable(g.edges))
@@ -372,6 +366,8 @@ def labeling_at(
     NoSddsFound proves that no labeling by 1..m has distinct sums within
     each degree class, which a k-shifted one less k is.
     """
+    require_int("shift", k)
+    require_int("budget", budget)
     construct = _constructor(g, budget, family)
     if construct is not None:
         return construct(k)
@@ -384,7 +380,7 @@ def labeling_at(
 
 def _constructor(g: Graph, budget: int, family: tuple[str, dict] | None) -> Callable | None:
     """`family`'s constructor for g as a function of k, or None without one;
-    BadParameters unless `family` names a `FAMILIES` entry and its parameters."""
+    BadParameters unless `family` names a `FAMILIES` entry and its int parameters."""
     if family is None:
         return None
     name, params = family if isinstance(family, tuple) and len(family) == 2 else (None, None)
@@ -392,9 +388,11 @@ def _constructor(g: Graph, budget: int, family: tuple[str, dict] | None) -> Call
     if entry is None or not isinstance(params, dict) or set(params) != set(entry.params):
         need = "a name from FAMILIES" if entry is None else f"the parameters {list(entry.params)}"
         raise BadParameters(f"family must be a (name, params) pair with {need}, got {family!r}")
+    for key, value in params.items():
+        require_int(f"family parameter {key}", value)
     if entry.construct is None:
         return None
-    return lambda k: entry.construct(k, g=g, budget=budget, **params)
+    return lambda k: entry.construct(k, g=g, search=lambda j: decide(g, j, budget), **params)
 
 
 class ShiftStatus(namedtuple("ShiftStatus", "k status via certificate")):
@@ -481,8 +479,13 @@ def spectrum(
     BadParameters before any shift is swept.
     """
     m = g.m
+    require_int("budget", budget)
     construct = _constructor(g, budget, family)
     if window is not None:
+        if not isinstance(window, (tuple, list)) or len(window) != 2:
+            raise BadParameters(f"window must be a (lo, hi) pair, got {reprlib.repr(window)}")
+        for bound in window:
+            require_int("window bound", bound)
         _check_sweep(*window, m, MAX_SWEEP)
     try:
         win = finite_window(g, budget)
@@ -538,153 +541,3 @@ def _check_sweep(lo: int, hi: int, m: int, most: float) -> None:
             f"sweep range {lo}..{hi} of a {m}-edge graph holds {(hi - lo + 1) * m} labels,"
             f" more than the {MAX_SWEEP_LABELS} allowed"
         )
-
-
-class AllShifts:
-    """Exclusion set meaning every shift is infeasible."""
-
-    def __contains__(self, k: object) -> bool:
-        return True
-
-    def __repr__(self) -> str:
-        return "AllShifts()"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, AllShifts)
-
-    def __hash__(self) -> int:
-        return hash("AllShifts")
-
-
-ALL_SHIFTS = AllShifts()
-
-
-def _path_excluded(n: int | None) -> frozenset[int] | AllShifts:
-    if n is None or n < 2:
-        raise BadParameters("path needs n >= 2")
-    if n == 2:
-        return ALL_SHIFTS
-    return {3: frozenset({-2, -1}), 4: frozenset({-2}), 5: frozenset({-3, -2})}.get(n, frozenset())
-
-
-def _star_excluded(n: int | None) -> frozenset[int] | AllShifts:
-    if n is None or n < 1:
-        raise BadParameters("star needs a leaf count n >= 1")
-    if n == 1:
-        return ALL_SHIFTS
-    if n % 2 == 0:
-        return frozenset({-n // 2 - 1, -n // 2})
-    return frozenset({-(n + 1) // 2})
-
-
-def _double_star_excluded(a: int | None, b: int | None) -> frozenset[int]:
-    if a is None or b is None or a < 1 or b < 1:
-        raise BadParameters("double star needs a, b >= 1")
-    big, small = max(a, b), min(a, b)
-    if small >= 2:
-        return frozenset()
-    if big == 1:
-        return frozenset({-2})
-    if big == 2:
-        return frozenset({-3, -2})
-    if big % 2 == 1:
-        return frozenset({-(big + 3) // 2})
-    return frozenset()
-
-
-def _cp3_excluded(c: int | None) -> frozenset[int]:
-    if c is None or c < 1:
-        raise BadParameters("need a component count c >= 1")
-    families._check_size("cp3", 2 * c)  # the set holds about 3c shifts
-    return frozenset(range(-((5 * c) // 2), c // 2))
-
-
-def _construct_path(k: int, g: Graph, budget: int, n: int) -> EdgeLabeling | None:
-    # the single edge has no labeling; below six vertices, search
-    if n == 2:
-        return None
-    if n >= 6:
-        return construct_path_shifted(n, k, g=g)
-    return decide(g, k, budget)
-
-
-def _construct_cp3(k: int, g: Graph, budget: int, c: int) -> EdgeLabeling | None:
-    # from c//2 down to the mirror axis lies the excluded band
-    return mirror(lambda j: construct_cp3(c, j, g=g) if j >= c // 2 else None, g.m, k)
-
-
-class Family(namedtuple("Family", "params build construct excluded", defaults=(None, None))):
-    """A graph family known by name, built by `build(**params)`.
-
-    `params` names the keyword parameters. `construct(k, g=graph,
-    budget=budget, **params)` returns a k-shifted labeling of that very
-    graph (`f.graph is g`) or None when k is infeasible;
-    `excluded(**params)` gives the closed-form infeasible shifts, and
-    raises BadParameters on a parameter out of range or None. Either may
-    be None where the family has none. Entries call builders through
-    their module and constructors by the names this module imports, so a
-    function rebound in either place is the one called.
-    """
-
-    __slots__ = ()
-
-
-# Adding a family means adding one entry here.
-FAMILIES: dict[str, Family] = {
-    "path": Family(("n",), lambda n: families.path(n), _construct_path, _path_excluded),
-    "star": Family(
-        ("n",),
-        lambda n: families.star(n),
-        lambda k, g, n, **_: None if n == 1 else construct_star(n, k, g=g),
-        _star_excluded,
-    ),
-    "double_star": Family(
-        ("a", "b"),
-        lambda a, b: families.double_star(a, b),
-        lambda k, g, a, b, **_: construct_double_star(a, b, k, g=g),
-        _double_star_excluded,
-    ),
-    "cp3": Family(("c",), lambda c: families.cp3(c), _construct_cp3, _cp3_excluded),
-    "two_p4": Family(
-        (),
-        lambda: families.two_p4(),
-        lambda k, g, **_: construct_two_p4(k, g=g),
-        lambda: frozenset({-5, -2}),
-    ),
-    "two_s3": Family(
-        (),
-        lambda: families.two_s3(),
-        lambda k, g, **_: construct_two_s3(k, g=g),
-        lambda: frozenset({-5, -2}),
-    ),
-    "p5prime": Family(
-        (),
-        lambda: families.p5prime(),
-        lambda k, g, **_: construct_p5prime(k, g=g),
-        lambda: frozenset({-3}),
-    ),
-    "cycle": Family(("n",), lambda n: families.cycle(n)),
-    "complete": Family(("n",), lambda n: families.complete(n)),
-    "complete_bipartite": Family(("a", "b"), lambda a, b: families.complete_bipartite(a, b)),
-    "cube": Family((), lambda: families.cube()),
-    "petersen": Family((), lambda: families.petersen()),
-}
-
-
-def closed_form_spectrum(
-    family: str,
-    n: int | None = None,
-    a: int | None = None,
-    b: int | None = None,
-    c: int | None = None,
-) -> frozenset[int] | AllShifts:
-    """The known excluded-shift set for a named family.
-
-    Returns a frozenset of infeasible shifts, or ALL_SHIFTS for the
-    single-edge graph where no shift works.
-    """
-    entry = FAMILIES.get(family) if isinstance(family, str) else None
-    if entry is None or entry.excluded is None:
-        raise BadParameters(f"no closed form for family {family!r}")
-    given = {"n": n, "a": a, "b": b, "c": c}
-    return entry.excluded(**{key: given[key] for key in entry.params})

@@ -14,6 +14,8 @@ import time
 from itertools import permutations
 
 from antimagic.constructors import (
+    ALL_SHIFTS,
+    closed_form_spectrum,
     construct_cp3,
     construct_forest_sdds,
     construct_odd_degree,
@@ -43,7 +45,7 @@ from antimagic.labeling import (
     vertex_sums,
 )
 from antimagic.graph import level_partition
-from antimagic.spectrum import ALL_SHIFTS, closed_form_spectrum, decide, spectrum
+from antimagic.spectrum import decide, spectrum
 from antimagic.trails import find_sigma_and_trails
 from conftest import random_graph, random_labeling, random_tree
 from test_odd_degree_oracle import seed_layer_subgraphs

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from antimagic import cli
 from antimagic.cli import main
 from antimagic.graph import Graph
-from antimagic.spectrum import FAMILIES, decide
+from antimagic.constructors import FAMILIES
+from antimagic.spectrum import decide
 from test_cli_corpus import GRAPHS
 
 # the module itself: the package exports the function `spectrum` under its name

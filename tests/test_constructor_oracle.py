@@ -19,7 +19,7 @@ from antimagic.errors import BadParameters
 from antimagic.families import cp3, double_star, p5prime, path, two_p4, two_s3
 from antimagic.graph import Edge
 from antimagic.labeling import EdgeLabeling, negate_labeling, shift_labeling
-from antimagic.spectrum import DEFAULT_BUDGET, FAMILIES
+from antimagic.spectrum import decide
 
 # --- verbatim copies of the replaced constructors ----------------------------
 # (only their exception classes renamed to the ones that replaced them)
@@ -265,5 +265,7 @@ def test_cp3_matches_replaced_code(c):
         assert outcome(constructors.construct_cp3, c, k) == want, (c, k)
         if c >= 1:
             want = outcome(cli_cp3, c, k)
-            got = outcome(FAMILIES["cp3"].construct, k, g=cp3(c), budget=DEFAULT_BUDGET, c=c)
+            g = cp3(c)
+            construct = constructors.FAMILIES["cp3"].construct
+            got = outcome(construct, k, g=g, search=lambda j: decide(g, j), c=c)
             assert got == want, (c, k)

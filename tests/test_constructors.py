@@ -8,6 +8,7 @@ import time
 import pytest
 
 from antimagic.constructors import (
+    closed_form_spectrum,
     construct_cp3,
     construct_double_star,
     construct_forest_sdds,
@@ -44,7 +45,6 @@ from antimagic.labeling import (
     verify_shifted,
     vertex_sums,
 )
-from antimagic.spectrum import closed_form_spectrum
 from conftest import random_tree
 
 

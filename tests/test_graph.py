@@ -146,6 +146,23 @@ def test_level_partition_matches_bfs_oracle():
         checked += 1
 
 
+def test_a_graph_refuses_edges_that_are_not_a_tuple():
+    # the search caches its plan by the graph's value, so list edges made
+    # every search raise a bare TypeError; the graph now refuses them
+    message = r"^edges must be a tuple, got list; build_graph takes any edge list$"
+    with pytest.raises(InvalidGraph, match=message):
+        Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(InvalidGraph, match=message):
+        Graph(n=3, edges=[(0, 1), (1, 2)])
+    g = Graph(3, ((0, 1), (1, 2)))
+    with pytest.raises(InvalidGraph, match=message):
+        g._replace(edges=[(0, 1)])
+    with pytest.raises(InvalidGraph, match=message):
+        Graph._make((3, [(0, 1)]))
+    assert g._replace(n=4) == Graph(4, ((0, 1), (1, 2)))
+    assert build_graph(3, [(0, 1), (1, 2)]) == g
+
+
 def test_family_builders_refuse_empty_parts():
     with pytest.raises(BadParameters, match=r"^need at least one vertex, got 0$"):
         families.complete(0)

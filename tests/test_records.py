@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import pytest
 
+from antimagic.constructors import Family
 from antimagic.errors import InvalidLabeling
 from antimagic.graph import Component, Graph, LevelPartition
 from antimagic.labeling import EdgeLabeling, Verdict
-from antimagic.spectrum import Family, ShiftStatus, SpectrumReport, WindowResult
+from antimagic.spectrum import ShiftStatus, SpectrumReport, WindowResult
 from antimagic.trails import Trail, TrailDecomposition
 
 

@@ -13,8 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from antimagic import families
+from antimagic import constructors, families
 from antimagic.constructors import (
+    ALL_SHIFTS,
+    FAMILIES,
+    AllShifts,
+    closed_form_spectrum,
     construct_cp3,
     construct_double_star,
     construct_p5prime,
@@ -34,13 +38,9 @@ from antimagic.labeling import (
     verify_shifted,
 )
 from antimagic.spectrum import (
-    ALL_SHIFTS,
     DEFAULT_BUDGET,
-    FAMILIES,
     MAX_SWEEP,
     MAX_SWEEP_LABELS,
-    AllShifts,
-    closed_form_spectrum,
     decide,
     finite_window,
     labeling_at,
@@ -300,6 +300,64 @@ def test_a_bad_family_request_raises_bad_parameters(family, need):
     assert labeling_at(path(8), 0, family=("path", {"n": 8})) is not None
 
 
+P30 = ("path", {"n": 30})
+
+
+@pytest.mark.parametrize(
+    "call, args, kwargs, message",
+    [
+        (labeling_at, (path(30), 0.5), {"family": P30}, "shift must be an int, got 0.5"),
+        (labeling_at, (path(30), 0, 2.0), {"family": P30}, "budget must be an int, got 2.0"),
+        (labeling_at, (path(5), True), {}, "shift must be an int, got True"),
+        (decide, (path(4), True), {}, "shift must be an int, got True"),
+        (decide, (path(5), 1.5), {}, "shift must be an int, got 1.5"),
+        (decide, (path(5), 0, None), {}, "budget must be an int, got None"),
+        (search_sdds, (path(5), False), {}, "budget must be an int, got False"),
+        (search_strong, (path(5), "10"), {}, "budget must be an int, got '10'"),
+        (finite_window, (path(5), 10.0), {}, "budget must be an int, got 10.0"),
+        (spectrum, (path(5),), {"budget": None}, "budget must be an int, got None"),
+        (spectrum, (path(5),), {"window": (0.5, 2)}, "window bound must be an int, got 0.5"),
+        (spectrum, (path(5),), {"window": (0, True)}, "window bound must be an int, got True"),
+        (spectrum, (path(5),), {"window": (0, 1, 2)}, r"window must be .*, got \(0, 1, 2\)"),
+        (spectrum, (path(5),), {"window": 0}, r"window must be a \(lo, hi\) pair, got 0"),
+    ],
+)
+def test_a_shift_budget_or_window_that_is_not_an_int_raises_bad_parameters(
+    call, args, kwargs, message
+):
+    # a float shift once gave labels such as 1.5, 29.5, ... that verified
+    with pytest.raises(BadParameters, match=f"^{message}$"):
+        call(*args, **kwargs)
+
+
+def test_a_window_given_as_a_list_still_sweeps():
+    assert spectrum(path(5), window=[-3, 0]) == spectrum(path(5), window=(-3, 0))
+
+
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("path", {"n": 2.5}, "path parameter n must be an int, got 2.5"),
+        ("double_star", {"a": 1.0, "b": 3}, "double_star parameter a must be an int, got 1.0"),
+        ("star", {"n": "3"}, "star parameter n must be an int, got '3'"),
+        ("cp3", {"c": True}, "cp3 parameter c must be an int, got True"),
+        ("two_p4", {"n": 0.5}, "two_p4 parameter n must be an int, got 0.5"),
+    ],
+)
+def test_a_closed_form_parameter_that_is_not_an_int_raises_bad_parameters(name, params, message):
+    with pytest.raises(BadParameters, match=f"^{message}$"):
+        closed_form_spectrum(name, **params)
+
+
+@pytest.mark.parametrize("n", ["30", 30.0, None, True])
+def test_a_family_request_parameter_that_is_not_an_int_raises_bad_parameters(n):
+    message = f"^family parameter n must be an int, got {re.escape(repr(n))}$"
+    with pytest.raises(BadParameters, match=message):
+        spectrum(path(30), family=("path", {"n": n}))
+    with pytest.raises(BadParameters, match=message):
+        labeling_at(path(30), 0, family=("path", {"n": n}))
+
+
 def test_spectra_on_four_threads_match_a_sequential_run():
     # the threads share the one cached plan, each replacing it in turn
     requests = (
@@ -356,7 +414,8 @@ def test_large_star_spectra_match_the_closed_form(n):
     src = Path(spectrum.__code__.co_filename).resolve().parent.parent
     code = (
         "from antimagic.families import star\n"
-        "from antimagic.spectrum import closed_form_spectrum, spectrum\n"
+        "from antimagic.constructors import closed_form_spectrum\n"
+        "from antimagic.spectrum import spectrum\n"
         f"report = spectrum(star({n}), budget={n})\n"
         f"print(frozenset(report.excluded) == closed_form_spectrum('star', n={n}))\n"
     )
@@ -437,7 +496,7 @@ def test_registry_constructions_agree_with_closed_forms():
             g = fam.build(**params)
             excluded = closed_form_spectrum(name, **params)
             for k in range(-3 * g.m - 3, 3 * g.m + 4):
-                f = fam.construct(k, g=g, budget=DEFAULT_BUDGET, **params)
+                f = fam.construct(k, g=g, search=lambda j: decide(g, j), **params)
                 if f is None:
                     assert k in excluded, (name, params, k)
                 else:
@@ -518,7 +577,7 @@ def test_registry_constructions_label_the_graph_they_are_handed(name, grid):
         g = fam.build(**params)
         # -2 and the mirrored side, below the axis 2k = -(m+1), included
         for k in range(-g.m - 4, 5):
-            f = fam.construct(k, g=g, budget=DEFAULT_BUDGET, **params)
+            f = fam.construct(k, g=g, search=lambda j: decide(g, j), **params)
             expected = public_constructor(name, params, k)
             if f is None:
                 assert expected is None, (name, params, k)
@@ -544,19 +603,85 @@ def test_registry_constructions_label_the_graph_they_are_handed(name, grid):
 def test_registry_calls_the_constructors_by_the_names_spectrum_binds(
     monkeypatch, name, ctor, params, k
 ):
-    # a constructor rebound in antimagic.spectrum, as a tracer rebinds it,
-    # is the one the registry calls
-    real, calls = getattr(spectrum_module, ctor), []
+    # a constructor rebound in antimagic.constructors, as a tracer rebinds
+    # it, is the one the registry calls
+    real, calls = getattr(constructors, ctor), []
 
     def recorder(*args, **kwargs):
         calls.append(kwargs)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(spectrum_module, ctor, recorder)
+    monkeypatch.setattr(constructors, ctor, recorder)
     g = FAMILIES[name].build(**params)
-    f = FAMILIES[name].construct(k, g=g, budget=DEFAULT_BUDGET, **params)
+    f = FAMILIES[name].construct(k, g=g, search=lambda j: decide(g, j), **params)
     assert calls and all(kwargs["g"] is g for kwargs in calls)
     assert f.graph is g and verify_shifted(f, k)
+
+
+# one small request per family; each family's builder has the family's name
+BUILD_PARAMS = {
+    "path": {"n": 5},
+    "star": {"n": 3},
+    "double_star": {"a": 2, "b": 1},
+    "cp3": {"c": 2},
+    "two_p4": {},
+    "two_s3": {},
+    "p5prime": {},
+    "cycle": {"n": 4},
+    "complete": {"n": 4},
+    "complete_bipartite": {"a": 2, "b": 3},
+    "cube": {},
+    "petersen": {},
+}
+
+
+@pytest.mark.parametrize("name", list(BUILD_PARAMS))
+def test_registry_calls_the_builders_by_the_names_constructors_binds(monkeypatch, name):
+    # a builder rebound in antimagic.constructors, as a tracer rebinds it,
+    # is the one the registry's `build` calls; a registry that stored the
+    # builder objects would call the original
+    assert set(BUILD_PARAMS) == set(FAMILIES)
+    params = BUILD_PARAMS[name]
+    real, calls = getattr(constructors, name), []
+
+    def recorder(*args, **kwargs):
+        calls.append(args + tuple(kwargs.values()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(constructors, name, recorder)
+    g = FAMILIES[name].build(**params)
+    assert calls == [tuple(params.values())]
+    assert g == getattr(families, name)(*params.values())
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        *(("path", {"n": n}) for n in range(2, 9)),
+        ("star", {"n": 4}),
+        ("double_star", {"a": 1, "b": 2}),
+        ("cp3", {"c": 2}),
+        ("two_p4", {}),
+        ("two_s3", {}),
+        ("p5prime", {}),
+    ],
+)
+def test_only_the_short_paths_call_the_search_they_are_handed(name, params):
+    fam = FAMILIES[name]
+    g = fam.build(**params)
+    for k in range(-g.m - 3, 4):
+        calls = []
+
+        def search(j):
+            calls.append(j)
+            return decide(g, j)
+
+        f = fam.construct(k, g=g, search=search, **params)
+        if name == "path" and 3 <= params["n"] <= 5:
+            assert calls == [k], k
+            assert f == decide(g, k), k
+        else:
+            assert calls == [], (name, params, k)
 
 
 def test_all_shifts_contains_everything():
