@@ -9,8 +9,7 @@ that disagree make the certificate invalid.
 
 from __future__ import annotations
 
-from itertools import chain, islice, starmap
-from operator import itemgetter, lt
+from itertools import chain
 
 from .errors import CertificateError, InvalidGraph
 from .graph import Graph, _canonical_edges
@@ -72,8 +71,8 @@ def certificate_to_labeling(doc: object) -> tuple[EdgeLabeling, int]:
     on any structural problem.
 
     Edges written as the toolkit writes them, each [u, v] with
-    0 <= u < v < n and strictly ascending, are taken as they stand after a
-    few bulk passes; any other list goes through the full validation.
+    0 <= u < v < n and strictly ascending, make a Graph as they stand;
+    any other list goes through the full validation.
     """
     if not isinstance(doc, dict):
         raise CertificateError("certificate must be a JSON object")
@@ -87,24 +86,18 @@ def certificate_to_labeling(doc: object) -> tuple[EdgeLabeling, int]:
         raise CertificateError("field 'labels' must be a list of integers")
     if len(labels) != len(edges):
         raise CertificateError(f"{len(labels)} labels for {len(edges)} edges")
-    if (
-        edges
-        and edges[0][0] >= 0  # ascending, so the least u comes first
-        and all(starmap(lt, edges))
-        and all(map(lt, edges, islice(edges, 1, None)))
-        and max(map(itemgetter(1), edges)) < n
-    ):
-        # canonical, distinct and in canonical order already
-        g = Graph(n, tuple(map(tuple, edges)))
-        return EdgeLabeling(g, tuple(labels), base=k), k
     try:
-        canon = _canonical_edges(n, edges)
-    except InvalidGraph as exc:
-        raise CertificateError(f"bad graph in certificate: {exc}") from exc
-    # one sort puts the edges in canonical order, and their labels with them
-    order = sorted(range(len(canon)), key=canon.__getitem__)
-    g = Graph(n, tuple(map(canon.__getitem__, order)))
-    return EdgeLabeling(g, tuple(map(labels.__getitem__, order)), base=k), k
+        g = Graph(n, tuple(map(tuple, edges)))
+    except InvalidGraph:
+        try:
+            canon = _canonical_edges(n, edges)
+        except InvalidGraph as exc:
+            raise CertificateError(f"bad graph in certificate: {exc}") from exc
+        # one sort puts the edges in canonical order, and their labels with them
+        order = sorted(range(len(canon)), key=canon.__getitem__)
+        g = Graph(n, tuple(map(canon.__getitem__, order)))
+        labels = tuple(map(labels.__getitem__, order))
+    return EdgeLabeling(g, tuple(labels), base=k), k
 
 
 def check_certificate(doc: object) -> tuple[Verdict, EdgeLabeling, int]:

@@ -167,6 +167,7 @@ def construct_path_shifted(n: int, k: int, *, g: Graph | None = None) -> EdgeLab
     """
     if n < 6:
         raise BadParameters(f"the every-shift construction needs n >= 6, got {n}")
+    require_int("shift", k)
     if g is None:
         g = path(n)
 
@@ -196,6 +197,7 @@ def construct_star(leaves: int, k: int, *, g: Graph | None = None) -> EdgeLabeli
     """
     if leaves < 2:
         raise BadParameters(f"need at least two leaves, got {leaves}")
+    require_int("shift", k)
     center = leaves * k + leaves * (leaves + 1) // 2
     if k + 1 <= center <= k + leaves:
         return None
@@ -281,6 +283,7 @@ def construct_double_star(
     """
     if g is None:
         g = double_star(a, b)  # raises BadParameters unless a, b >= 1
+    require_int("shift", k)
 
     def upper(j: int) -> EdgeLabeling | None:
         plan = _double_star_plan(max(a, b), min(a, b), j, g.m)
@@ -328,6 +331,7 @@ def construct_cp3(c: int, k: int, *, g: Graph | None = None) -> EdgeLabeling:
         g = cp3(c)  # raises BadParameters unless c >= 1
     if k < c // 2:
         raise BadParameters(f"direct construction needs k >= {c // 2}, got {k}")
+    require_int("shift", k)
     t = k - c // 2
     mapping: dict[Edge, int] = {}
     for i, (small, large) in enumerate(_cp3_pairs(c)):
@@ -353,6 +357,7 @@ def _tabled(name: str, k: int, g: Graph | None = None) -> EdgeLabeling | None:
     """k-shifted labeling of the fixed graph `name` from its table, or
     None; `mirror` covers the lower half."""
     build, m, start, offsets, fixed = _TABLES[name]
+    require_int("shift", k)
 
     def upper(j: int) -> EdgeLabeling | None:
         if j >= start:
@@ -544,7 +549,8 @@ def closed_form_spectrum(
 
     Returns a frozenset of infeasible shifts, or ALL_SHIFTS for the
     single-edge graph where no shift works. BadParameters for a family
-    without one, or a parameter that is neither None nor an int.
+    without one, or a parameter that is neither None nor an int, or one
+    the family does not take.
     """
     entry = FAMILIES.get(family) if isinstance(family, str) else None
     if entry is None or entry.excluded is None:
@@ -553,4 +559,6 @@ def closed_form_spectrum(
     for key, value in given.items():
         if value is not None:
             require_int(f"{family} parameter {key}", value)
+            if key not in entry.params:
+                raise BadParameters(f"{family} takes no parameter {key}")
     return entry.excluded(**{key: given[key] for key in entry.params})

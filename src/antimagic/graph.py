@@ -2,11 +2,13 @@
 
 Vertices are integers 0..n-1. Edges are stored canonically as (min, max)
 pairs sorted lexicographically, so two graphs with the same edge set are
-equal as values.
+equal as values. `Graph` enforces the format: an int n >= 0, and a tuple
+of 2-tuples (u, v) with 0 <= u < v < n, strictly ascending.
 """
 
 from __future__ import annotations
 
+import reprlib
 from collections import namedtuple
 from functools import cached_property
 
@@ -22,21 +24,35 @@ def canonical_edge(u: int, v: int) -> Edge:
 class Graph(namedtuple("Graph", "n edges")):
     """A simple undirected graph on vertices 0..n-1.
 
-    `n` is the vertex count, `edges` the canonical edge tuple. Unlike the
+    `n` is the vertex count, a plain int >= 0; `edges` the canonical edge
+    tuple of plain 2-tuples (u, v), 0 <= u < v < n, strictly ascending.
+    Anything else raises InvalidGraph, also through `_replace`. Unlike the
     other records, a graph has an instance dict: it holds the cached
-    adjacency and degrees, and is written only by those caches. Edges
-    that are not a tuple raise InvalidGraph; nothing else is checked.
+    adjacency and degrees, and is written only by those caches.
     """
 
     def __new__(cls, n: int, edges: tuple[Edge, ...]) -> Graph:
         if not isinstance(edges, tuple):
             kind = type(edges).__name__
             raise InvalidGraph(f"edges must be a tuple, got {kind}; build_graph takes any edge list")
-        return tuple.__new__(cls, (n, edges))
+        if type(n) is not int or n < 0:
+            raise InvalidGraph(f"vertex count must be an int >= 0, got {reprlib.repr(n)}")
+        prev = ()  # sorts before every edge
+        try:
+            for e in edges:
+                u, v = e
+                if not (type(e) is tuple and 0 <= u < v < n and prev < e):
+                    break
+                prev = e
+            else:
+                return tuple.__new__(cls, (n, edges))
+        except (TypeError, ValueError):  # not a pair, or endpoints that do not compare
+            pass
+        raise InvalidGraph(f"edges must be ascending pairs 0 <= u < v < {n}, got {reprlib.repr(e)}")
 
     @classmethod
     def _make(cls, iterable) -> Graph:
-        # `_replace` builds through `_make`; both keep the tuple check
+        # `_replace` builds through `_make`; both keep the format check
         return cls(*iterable)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -56,12 +72,12 @@ class Graph(namedtuple("Graph", "n edges")):
 
     @cached_property
     def _adjacency(self) -> list[list[int]]:
+        # ascending as built: the edges (w, v) that give row v its smaller
+        # neighbours sort before the edges (v, x) that give it larger ones
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        for row in adj:
-            row.sort()
         return adj
 
     def degrees(self) -> list[int]:
@@ -88,40 +104,29 @@ def build_graph(n: int, edges) -> Graph:
     """Validate and canonicalize an edge list into a Graph.
 
     Rejects loops, repeated vertex pairs (in either order), and endpoints
-    outside [0, n).
+    outside [0, n). An edge that is already a plain tuple (u, v) with
+    u < v is kept, not copied: the graph shares it with its input.
     """
-    canon = _canonical_edges(n, edges)
-    canon.sort()
-    return Graph(n, tuple(canon))
+    if not isinstance(edges, (list, tuple)):
+        edges = _canonical_edges(n, edges)  # an iterator is read once
+    try:
+        canon = [
+            (e if type(e) is tuple else (u, v)) if u < v else (v, u) for e in edges for u, v in (e,)
+        ]
+        canon.sort()
+        return Graph(n, tuple(canon))
+    except (InvalidGraph, TypeError, ValueError):
+        _canonical_edges(n, edges)  # names the first faulty edge in input order
+        raise
 
 
 def _canonical_edges(n: int, edges) -> list[Edge]:
-    """The canonical form of each edge, in input order, validated as
-    build_graph documents.
-
-    A list or tuple of edges is checked in bulk first, and an edge that is
-    already a plain tuple (u, v) with u < v is kept as it is, not copied:
-    a graph shares such edges with its input. Only when that check fails
-    (or for any other iterable) does the edge-by-edge loop run, so the
-    first faulty edge in input order raises as it always has.
-    """
+    """The fault-naming loop: each edge's canonical form in input order,
+    or the error for a negative n or the first loop, repeated pair or
+    endpoint out of range. `Graph` checks the format; this runs only where
+    `Graph` refuses an edge tuple, or to read an iterator once."""
     if n < 0:
         raise InvalidGraph(f"vertex count {n} is negative")
-    if isinstance(edges, (list, tuple)):
-        try:
-            # a loop or an endpoint out of range canonicalizes to None
-            canon = [
-                (e if type(e) is tuple else (u, v))
-                if 0 <= u < v < n
-                else (v, u) if 0 <= v < u < n else None
-                for e in edges
-                for u, v in (e,)
-            ]
-            distinct = set(canon)
-            if len(distinct) == len(canon) and None not in distinct:
-                return canon
-        except (TypeError, ValueError):  # the loop names the faulty edge
-            pass
     canon = []
     seen: set[Edge] = set()
     for u, v in edges:

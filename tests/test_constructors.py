@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 
 import pytest
@@ -317,6 +318,46 @@ def test_family_constructors_label_the_graph_they_are_given():
                 continue
             assert f.graph is g, (ctor.__name__, args, k)
             assert f == expected, (ctor.__name__, args, k)
+
+
+def refuses_shift(call, shift):
+    message = f"^shift must be an int, got {re.escape(repr(shift))}$"
+    with pytest.raises(BadParameters, match=message):
+        call(shift)
+
+
+def test_path_shifted_refuses_a_shift_that_is_not_an_int():
+    # a half shift makes half-integer labels that verify_shifted accepts
+    refuses_shift(lambda k: construct_path_shifted(30, k), 0.5)
+    refuses_shift(lambda k: construct_path_shifted(30, k, g=path(30)), -20.5)
+    with pytest.raises(BadParameters, match="needs n >= 6, got 5"):
+        construct_path_shifted(5, 0.5)
+
+
+def test_star_refuses_a_shift_that_is_not_an_int():
+    refuses_shift(lambda k: construct_star(3, k), 0.5)
+    refuses_shift(lambda k: construct_star(3, k), "1")
+    with pytest.raises(BadParameters, match="need at least two leaves, got 1"):
+        construct_star(1, 0.5)
+
+
+def test_double_star_refuses_a_shift_that_is_not_an_int():
+    refuses_shift(lambda k: construct_double_star(2, 3, k), True)
+    refuses_shift(lambda k: construct_double_star(2, 3, k, g=double_star(2, 3)), 1.0)
+    with pytest.raises(BadParameters, match="double star needs a, b >= 1"):
+        construct_double_star(0, 3, 0.5)
+
+
+def test_cp3_refuses_a_shift_that_is_not_an_int():
+    refuses_shift(lambda k: construct_cp3(2, k), 1.5)
+    refuses_shift(lambda k: construct_cp3(2, k, g=cp3(2)), 2.0)
+
+
+@pytest.mark.parametrize("ctor", [construct_two_p4, construct_two_s3, construct_p5prime])
+def test_tabled_families_refuse_a_shift_that_is_not_an_int(ctor):
+    refuses_shift(ctor, 0.5)
+    refuses_shift(ctor, -9.5)  # the mirrored half
+    refuses_shift(ctor, None)
 
 
 # --- union threshold -------------------------------------------------------

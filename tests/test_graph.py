@@ -163,6 +163,115 @@ def test_a_graph_refuses_edges_that_are_not_a_tuple():
     assert build_graph(3, [(0, 1), (1, 2)]) == g
 
 
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (2, ((0, 5),)),  # an endpoint out of range
+        (3, ((-1, 1),)),
+        (3, ((0, 0), (1, 2))),  # a loop
+        (3, ((0, 1), (0, 1))),  # a repeated edge
+        (3, ((1, 2), (0, 1))),  # out of order
+        (3, ((1, 0),)),  # a reversed pair
+        (-1, ()),  # a negative vertex count
+        (3.0, ()),  # a vertex count that is not an int
+        (True, ((0, 1),)),
+        (3, ([0, 1],)),  # an edge that is not a tuple
+        (3, ((0, 1, 2),)),  # not a pair
+        (3, ((0,),)),
+        (3, ((0, None),)),  # endpoints that do not compare
+    ],
+)
+def test_a_graph_refuses_edges_outside_the_canonical_format(n, edges):
+    # unchecked, each of these reaches the search and the graph core,
+    # which raise IndexError or answer for a graph that is not simple
+    with pytest.raises(InvalidGraph):
+        Graph(n, edges)
+    with pytest.raises(InvalidGraph):
+        Graph(3, ((0, 1),))._replace(n=n, edges=edges)
+    with pytest.raises(InvalidGraph):
+        Graph._make((n, edges))
+
+
+def test_a_graph_refuses_an_edge_that_is_a_tuple_subclass():
+    message = r"^edges must be ascending pairs 0 <= u < v < 3, got \(0, 1\)$"
+    with pytest.raises(InvalidGraph, match=message):
+        Graph(3, (Pair((0, 1)),))
+    assert build_graph(3, (Pair((0, 1)),)) == Graph(3, ((0, 1),))
+
+
+@st.composite
+def edge_tuples(draw):
+    """(n, edges): a canonical edge tuple, or one broken by a list edge, a
+    reversed pair, an endpoint out of range, a loop, a repeat, two edges
+    out of order, a 3-tuple, or a negative or non-int n."""
+    n = size = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(size) for v in range(u + 1, size)]
+    edges = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(
+            ["list", "reverse", "range", "loop", "repeat", "swap", "triple", "n"]
+        ))
+        at = draw(st.integers(0, len(edges)))
+        if kind == "range":
+            edges.insert(at, (draw(st.integers(-2, size + 2)), draw(st.integers(size, size + 2))))
+        elif kind == "loop":
+            u = draw(st.integers(-1, size))
+            edges.insert(at, (u, u))
+        elif kind == "n":
+            n = draw(st.sampled_from([-1, -5, float(size), size == 1, None, str(size)]))
+        elif not edges:
+            continue
+        elif kind == "repeat":
+            edges.insert(at, draw(st.sampled_from(edges)))
+        elif kind == "swap":
+            i, j = draw(st.integers(0, len(edges) - 1)), draw(st.integers(0, len(edges) - 1))
+            edges[i], edges[j] = edges[j], edges[i]
+        else:
+            i = draw(st.integers(0, len(edges) - 1))
+            u, v = edges[i][:2]
+            edges[i] = {"list": [u, v], "reverse": (v, u), "triple": (u, v, v)}[kind]
+    return n, tuple(edges)
+
+
+@settings(max_examples=400)
+@given(edge_tuples())
+def test_a_graph_takes_exactly_the_edges_build_graph_would_return(case):
+    n, edges = case
+    made = outcome(Graph, n, edges)
+    built = outcome(build_graph, n, edges)
+    if made[0] == "ok":
+        assert built == made
+        # build_graph hands over the very edge objects it was given
+        assert all(e is given for e, given in zip(built[1].edges, edges))
+    else:
+        assert made[0] is InvalidGraph
+        assert built[0] != "ok" or built[1].edges != edges
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 30), st.data())
+def test_adjacency_rows_come_out_ascending(n, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    edges = [e if data.draw(st.booleans()) else e[::-1] for e in edges]
+    g = build_graph(n, edges)
+    neighbours = [set() for _ in range(n)]
+    for u, v in edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    for v, row in enumerate(g.adjacency()):
+        assert all(a < b for a, b in zip(row, row[1:])), (v, row)
+        assert set(row) == neighbours[v]
+
+
+def test_adjacency_rows_of_large_random_graphs_come_out_ascending():
+    rng = random.Random(20261020)
+    graphs = [random_graph(rng, 300, 3000), random_tree(rng, 2000), cube(), star(50)]
+    for g in graphs:
+        for v, row in enumerate(g.adjacency()):
+            assert row == sorted(set(row)), (v, row)
+
+
 def test_family_builders_refuse_empty_parts():
     with pytest.raises(BadParameters, match=r"^need at least one vertex, got 0$"):
         families.complete(0)
@@ -417,7 +526,7 @@ def test_build_graph_keeps_canonical_plain_tuples():
     edges = [(0, 1), (0, 3), (1, 2), (2, 3)]
     g = build_graph(4, edges)
     assert all(g.edges[i] is edges[i] for i in range(len(edges)))
-    assert all(e is edges[i] for i, e in enumerate(_canonical_edges(4, tuple(edges))))
+    assert all(e is edges[i] for i, e in enumerate(build_graph(4, tuple(edges)).edges))
 
 
 def test_build_graph_copies_reversed_edges_lists_and_subclasses():
@@ -457,7 +566,9 @@ def test_canonical_edges_fail_as_before_and_share_what_they_keep(case):
     got = outcome(_canonical_edges, n, edges)
     assert got == outcome(seed_canonical_edges, n, edges)
     if got[0] == "ok":
-        for e, given_edge in zip(got[1], edges):
+        kept = {e: e for e in build_graph(n, edges).edges}  # each edge as the graph holds it
+        for given_edge in edges:
+            e = kept[canonical_edge(*given_edge)]
             assert type(e) is tuple
             assert (e is given_edge) == (type(given_edge) is tuple and e == given_edge)
 

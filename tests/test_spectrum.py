@@ -349,6 +349,25 @@ def test_a_closed_form_parameter_that_is_not_an_int_raises_bad_parameters(name, 
         closed_form_spectrum(name, **params)
 
 
+@pytest.mark.parametrize(
+    "name, params, key",
+    [
+        ("two_p4", {"n": 5}, "n"),
+        ("path", {"n": 5, "c": 3}, "c"),
+        ("star", {"a": 1, "n": 4}, "a"),
+        ("double_star", {"a": 1, "b": 3, "n": 0}, "n"),
+        ("p5prime", {"b": 2}, "b"),
+    ],
+)
+def test_a_closed_form_refuses_a_parameter_its_family_does_not_take(name, params, key):
+    # the family request refuses such a parameter too
+    with pytest.raises(BadParameters, match=f"^{name} takes no parameter {key}$"):
+        closed_form_spectrum(name, **params)
+    g = FAMILIES[name].build(**{k: v for k, v in params.items() if k != key})
+    with pytest.raises(BadParameters, match="^family must be a"):
+        spectrum(g, family=(name, params))
+
+
 @pytest.mark.parametrize("n", ["30", 30.0, None, True])
 def test_a_family_request_parameter_that_is_not_an_int_raises_bad_parameters(n):
     message = f"^family parameter n must be an int, got {re.escape(repr(n))}$"
