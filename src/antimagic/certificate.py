@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .errors import CertificateError, InvalidGraph
+from .errors import CertificateError, InvalidGraph, require_int
 from .graph import Graph, _canonical_edges
 from .labeling import EdgeLabeling, Verdict, _shifted_verdict, vertex_sums
 
@@ -22,6 +22,7 @@ def labeling_to_certificate(f: EdgeLabeling, k: int | None = None) -> dict:
         k = f.base
     if k is None:
         raise CertificateError("labeling has no recorded shift; pass k explicitly")
+    require_int("shift", k)
     sums = list(vertex_sums(f))
     return {
         "n": f.graph.n,
@@ -33,32 +34,20 @@ def labeling_to_certificate(f: EdgeLabeling, k: int | None = None) -> dict:
     }
 
 
-def _plain_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _plain_ints(values: list) -> bool:
-    """True when every value is an int and none is a bool.
-
-    Exact ints are settled in bulk; anything else (a bool, an int subclass
-    such as an IntEnum member, a float) goes through _plain_int one by one.
-    """
-    return set(map(type, values)) <= {int} or all(map(_plain_int, values))
+def _plain_ints(values) -> bool:
+    """True when every value is an int: a bool, a float or an int subclass is not."""
+    return set(map(type, values)) <= {int}
 
 
 def _int_pairs(edges: list) -> bool:
-    """True when every edge is a list of two plain ints."""
-    if set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}:
-        return _plain_ints(list(chain.from_iterable(edges)))
-    return all(
-        isinstance(e, list) and len(e) == 2 and all(_plain_int(x) for x in e)
-        for e in edges
-    )
+    """True when every edge is a list of two ints."""
+    pairs = set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
+    return pairs and _plain_ints(chain.from_iterable(edges))
 
 
 def _expect_int(doc: dict, key: str) -> int:
     value = doc.get(key)
-    if not _plain_int(value):
+    if type(value) is not int:
         raise CertificateError(f"field {key!r} must be an integer")
     return value
 

@@ -13,7 +13,7 @@ keyword `g`, used as is; without it, the constructor builds the graph
 itself.
 
 The module closes with the registry of named families, `FAMILIES`, their
-closed-form spectra and the command line's `SHORTHANDS`.
+shapes, their closed-form spectra and the command line's `SHORTHANDS`.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from itertools import accumulate, groupby
 
 from .errors import BadParameters, WrongGraphClass, require_int
 from .families import (
-    _check_size, complete, complete_bipartite, cp3, cube, cycle, double_star, p5prime, path,
-    petersen, star, two_p4, two_s3,
+    _P5PRIME, _TWO_P4, _TWO_S3, _Shape, _check_size, _cp3, _double_star, _path, _star, complete,
+    complete_bipartite, cp3, cube, cycle, double_star, p5prime, path, petersen, star, two_p4,
+    two_s3,
 )
 from .graph import Edge, Graph, _breadth_first, _component_vertices
 from .labeling import EdgeLabeling, mirror
@@ -152,6 +153,7 @@ def _strong_path_labels(n: int) -> list[int]:
 
 def construct_path_strong(n: int) -> EdgeLabeling:
     """Label a path with 1..n-1 so sums grow strictly with degree."""
+    require_int("path vertex count", n)
     if n < 3:
         raise BadParameters(f"need at least three vertices, got {n}")
     return EdgeLabeling(path(n), tuple(_strong_path_labels(n)), base=0)
@@ -165,6 +167,7 @@ def construct_path_shifted(n: int, k: int, *, g: Graph | None = None) -> EdgeLab
     zero-labeled edge into a negated prefix and a strong suffix. Anything
     lower is the mirror image of one of those.
     """
+    require_int("path vertex count", n)
     if n < 6:
         raise BadParameters(f"the every-shift construction needs n >= 6, got {n}")
     require_int("shift", k)
@@ -195,6 +198,7 @@ def construct_star(leaves: int, k: int, *, g: Graph | None = None) -> EdgeLabeli
     Every labeling gives the center the same sum, so the shift is
     infeasible exactly when that sum lands inside the label range.
     """
+    require_int("star leaf count", leaves)
     if leaves < 2:
         raise BadParameters(f"need at least two leaves, got {leaves}")
     require_int("shift", k)
@@ -281,9 +285,10 @@ def construct_double_star(
     more leaves every shift works; a single-leaf center misses one or two
     shifts near the mirror axis.
     """
-    if g is None:
-        g = double_star(a, b)  # raises BadParameters unless a, b >= 1
+    _double_star(a, b)  # raises BadParameters unless a, b are ints >= 1
     require_int("shift", k)
+    if g is None:
+        g = double_star(a, b)
 
     def upper(j: int) -> EdgeLabeling | None:
         plan = _double_star_plan(max(a, b), min(a, b), j, g.m)
@@ -327,11 +332,12 @@ def construct_cp3(c: int, k: int, *, g: Graph | None = None) -> EdgeLabeling:
     of the excluded band are impossible, and anything lower is reached by
     negating this construction (`mirror`); both are the caller's business.
     """
-    if g is None:
-        g = cp3(c)  # raises BadParameters unless c >= 1
+    _cp3(c)  # raises BadParameters unless c is an int >= 1
+    require_int("shift", k)
     if k < c // 2:
         raise BadParameters(f"direct construction needs k >= {c // 2}, got {k}")
-    require_int("shift", k)
+    if g is None:
+        g = cp3(c)
     t = k - c // 2
     mapping: dict[Edge, int] = {}
     for i, (small, large) in enumerate(_cp3_pairs(c)):
@@ -393,6 +399,7 @@ def p3_threshold(m: int) -> int:
     the widest label pair spread still clears the densest packing of the
     smaller sums: the first c with (1+m+2c)(m+2c) < (1+m+5c)(c-m).
     """
+    require_int("edge count", m)
     if m < 0:
         raise BadParameters(f"edge count cannot be negative, got {m}")
     # expanded, the inequality reads c^2 - (8m+1)c - 2m(m+1) > 0, false
@@ -492,8 +499,9 @@ class Family(namedtuple("Family", "params build construct excluded", defaults=(N
     __slots__ = ()
 
 
-# Adding a family means adding one entry here. Entries call builders and
-# constructors by this module's names, so a function rebound here is the one called.
+# Adding a family means adding one entry here, and one in `_SHAPES` below if
+# it has a construction. Entries call builders and constructors by this
+# module's names, so a function rebound here is the one called.
 FAMILIES: dict[str, Family] = {
     "path": Family(("n",), lambda n: path(n), _construct_path, _path_excluded),
     "star": Family(
@@ -532,6 +540,19 @@ FAMILIES: dict[str, Family] = {
     "complete_bipartite": Family(("a", "b"), lambda a, b: complete_bipartite(a, b)),
     "cube": Family((), lambda: cube()),
     "petersen": Family((), lambda: petersen()),
+}
+
+# The shape (n, m, canonical edges) of what each family with a construction
+# builds, from its parameters and without building it: a family request
+# checks its graph against this.
+_SHAPES: dict[str, Callable[..., _Shape]] = {
+    "path": _path,
+    "star": lambda n: _star(n),
+    "double_star": _double_star,
+    "cp3": _cp3,
+    "two_p4": lambda: _TWO_P4,
+    "two_s3": lambda: _TWO_S3,
+    "p5prime": lambda: _P5PRIME,
 }
 
 # Command-line shorthands: `p7` is the path on 7 vertices, `s4` the star with 4 leaves.

@@ -4,7 +4,8 @@ Everything derives from AntimagicError so callers can catch toolkit
 failures with a single except clause. Infeasibility of a labeling
 problem is never an exception; constructors return None and the
 spectrum engine records a verdict instead. `require_int` is the one
-check that a shift, budget, window bound or family parameter is an int.
+check that a shift, budget, window bound, root, family size or count,
+or family parameter is an int.
 """
 
 import reprlib
@@ -16,12 +17,14 @@ class AntimagicError(Exception):
 
 class InvalidGraph(AntimagicError):
     """An edge list is not a simple graph on vertices 0..n-1: a loop, a
-    repeated vertex pair, a vertex count or endpoint out of range, or
-    edges handed to `Graph` that are not a tuple."""
+    repeated vertex pair, an edge that is not a pair, a vertex count or
+    endpoint that is not an int or is out of range, or edges handed to
+    `Graph` that are not a tuple."""
 
 
 class ParseError(AntimagicError):
-    """Malformed edge-list text; message names the offending line."""
+    """Malformed edge-list text, the message naming the offending line, or
+    an edge list that is not a str."""
 
 
 class CertificateError(AntimagicError):

@@ -3,7 +3,7 @@
 Vertices are integers 0..n-1. Edges are stored canonically as (min, max)
 pairs sorted lexicographically, so two graphs with the same edge set are
 equal as values. `Graph` enforces the format: an int n >= 0, and a tuple
-of 2-tuples (u, v) with 0 <= u < v < n, strictly ascending.
+of 2-tuples (u, v) of ints with 0 <= u < v < n, strictly ascending.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import reprlib
 from collections import namedtuple
 from functools import cached_property
 
-from .errors import BadParameters, InvalidGraph, ParseError
+from .errors import BadParameters, InvalidGraph, ParseError, require_int
 
 Edge = tuple[int, int]
 
@@ -25,7 +25,7 @@ class Graph(namedtuple("Graph", "n edges")):
     """A simple undirected graph on vertices 0..n-1.
 
     `n` is the vertex count, a plain int >= 0; `edges` the canonical edge
-    tuple of plain 2-tuples (u, v), 0 <= u < v < n, strictly ascending.
+    tuple of plain 2-tuples (u, v) of ints, 0 <= u < v < n, strictly ascending.
     Anything else raises InvalidGraph, also through `_replace`. Unlike the
     other records, a graph has an instance dict: it holds the cached
     adjacency and degrees, and is written only by those caches.
@@ -41,12 +41,13 @@ class Graph(namedtuple("Graph", "n edges")):
         try:
             for e in edges:
                 u, v = e
-                if not (type(e) is tuple and 0 <= u < v < n and prev < e):
+                if not (type(e) is tuple and type(u) is type(v) is int
+                        and 0 <= u < v < n and prev < e):
                     break
                 prev = e
             else:
                 return tuple.__new__(cls, (n, edges))
-        except (TypeError, ValueError):  # not a pair, or endpoints that do not compare
+        except (TypeError, ValueError):  # not a pair
             pass
         raise InvalidGraph(f"edges must be ascending pairs 0 <= u < v < {n}, got {reprlib.repr(e)}")
 
@@ -103,9 +104,10 @@ class Graph(namedtuple("Graph", "n edges")):
 def build_graph(n: int, edges) -> Graph:
     """Validate and canonicalize an edge list into a Graph.
 
-    Rejects loops, repeated vertex pairs (in either order), and endpoints
-    outside [0, n). An edge that is already a plain tuple (u, v) with
-    u < v is kept, not copied: the graph shares it with its input.
+    Rejects, with InvalidGraph, an n or an endpoint that is not an int, an
+    edge that is not a pair, loops, repeated vertex pairs (in either order),
+    and endpoints outside [0, n). An edge that is already a plain tuple
+    (u, v) with u < v is kept, not copied: the graph shares it with its input.
     """
     if not isinstance(edges, (list, tuple)):
         edges = _canonical_edges(n, edges)  # an iterator is read once
@@ -121,15 +123,22 @@ def build_graph(n: int, edges) -> Graph:
 
 
 def _canonical_edges(n: int, edges) -> list[Edge]:
-    """The fault-naming loop: each edge's canonical form in input order,
-    or the error for a negative n or the first loop, repeated pair or
-    endpoint out of range. `Graph` checks the format; this runs only where
+    """The fault-naming loop: each edge's canonical form in input order, or
+    InvalidGraph naming the first fault in `Graph`'s format. Runs only where
     `Graph` refuses an edge tuple, or to read an iterator once."""
+    if type(n) is not int:
+        raise InvalidGraph(f"vertex count must be an int, got {reprlib.repr(n)}")
     if n < 0:
         raise InvalidGraph(f"vertex count {n} is negative")
     canon = []
     seen: set[Edge] = set()
-    for u, v in edges:
+    for e in edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise InvalidGraph(f"edge {reprlib.repr(e)} is not a pair (u, v)") from None
+        if type(u) is not int or type(v) is not int:
+            raise InvalidGraph(f"edge {reprlib.repr(e)} has an endpoint that is not an int")
         if u == v:
             raise InvalidGraph(f"edge ({u}, {v}) is a loop")
         if not (0 <= u < n and 0 <= v < n):
@@ -228,6 +237,7 @@ def level_partition(g: Graph, root: int | None = None) -> LevelPartition:
     """
     if root is None:
         root = default_root(g)
+    require_int("root", root)
     if not (0 <= root < g.n):
         raise BadParameters(f"root {root} is not a vertex of a {g.n}-vertex graph")
     levels, _ = _breadth_first(g, [root])
@@ -263,8 +273,10 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the plain text format: a header line "n m" and then m lines "u v".
 
     Vertex ids are 0-based. Malformed input raises ParseError naming the
-    offending 1-based line number.
+    offending 1-based line number; anything but a str raises it too.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"an edge list must be text, got {type(text).__name__}")
     lines = text.splitlines()
     body = [(no, line.strip()) for no, line in enumerate(lines, start=1)]
     # trailing blank lines are tolerated, interior ones are not

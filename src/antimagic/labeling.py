@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import repeat
 from operator import add, mul
 
-from .errors import BadParameters, InvalidLabeling
+from .errors import BadParameters, InvalidLabeling, require_int
 from .graph import Edge, Graph
 
 
@@ -262,6 +262,7 @@ def _first_out_of_order(deg: Sequence[int], sums: Sequence[int]) -> int | None:
 
 def shift_labeling(f: EdgeLabeling, t: int) -> EdgeLabeling:
     """Add t to every label. Vertex sums move by t * deg(v)."""
+    require_int("shift", t)
     base = None if f.base is None else f.base + t
     return EdgeLabeling(f.graph, tuple(lab + t for lab in f.labels), base)
 

@@ -16,8 +16,11 @@ from collections import Counter, namedtuple
 from collections.abc import Callable
 from functools import lru_cache
 from itertools import chain
+from operator import eq
 
-from .constructors import ALL_SHIFTS, FAMILIES, construct_forest_sdds, construct_odd_degree
+from .constructors import (
+    _SHAPES, ALL_SHIFTS, FAMILIES, construct_forest_sdds, construct_odd_degree,
+)
 from .errors import BadParameters, BudgetExceeded, NoSddsFound, WrongGraphClass, require_int
 from .graph import Graph
 from .labeling import EdgeLabeling, mirror, sdds_shift_threshold, shift_labeling
@@ -359,8 +362,8 @@ def labeling_at(
     """A k-shifted labeling of g, or None when shift k is infeasible.
 
     `family` must be the (name, params) request of the `FAMILIES` entry
-    that built g (BadParameters if it names no entry or not exactly its
-    parameters; it is not checked against g). Its constructor answers
+    that built g (BadParameters if it names no entry, not exactly its
+    parameters, or a graph other than g). Its constructor answers
     when it has one, else `decide` inside the provable window and `lift`
     outside it. With an edge but no window no shift is feasible:
     NoSddsFound proves that no labeling by 1..m has distinct sums within
@@ -380,7 +383,9 @@ def labeling_at(
 
 def _constructor(g: Graph, budget: int, family: tuple[str, dict] | None) -> Callable | None:
     """`family`'s constructor for g as a function of k, or None without one;
-    BadParameters unless `family` names a `FAMILIES` entry and its int parameters."""
+    BadParameters unless `family` names a `FAMILIES` entry and its int
+    parameters, and, where it has a constructor, g is the graph it builds:
+    g's edges are compared one by one as the family's shape yields them."""
     if family is None:
         return None
     name, params = family if isinstance(family, tuple) and len(family) == 2 else (None, None)
@@ -392,6 +397,9 @@ def _constructor(g: Graph, budget: int, family: tuple[str, dict] | None) -> Call
         require_int(f"family parameter {key}", value)
     if entry.construct is None:
         return None
+    n, m, edges = _SHAPES[name](**params)
+    if (g.n, g.m) != (n, m) or not all(map(eq, g.edges, edges)):
+        raise BadParameters(f"family {family!r} does not build this {g.n}-vertex, {g.m}-edge graph")
     return lambda k: entry.construct(k, g=g, search=lambda j: decide(g, j, budget), **params)
 
 

@@ -211,7 +211,8 @@ def seed_labeling_to_certificate(f, k=None):
 
 
 def _plain_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
+    # exact ints only: a bool, a float or an int subclass is not one
+    return type(value) is int
 
 
 def _expect_int(doc, key):

@@ -410,17 +410,31 @@ def test_random_graphs_match_networkx(n, data):
     assert_levels_match_networkx(g, default_root(g))
 
 
+@pytest.mark.parametrize("text", [None, b"2 1\n0 1\n", ["2 1", "0 1"]])
+def test_parse_edge_list_refuses_what_is_not_text(text):
+    # None once raised a bare AttributeError
+    message = f"^an edge list must be text, got {type(text).__name__}$"
+    with pytest.raises(ParseError, match=message):
+        parse_edge_list(text)
+
+
 # --- the bulk build_graph against the edge-by-edge loop it replaced ---------
 
 
 def seed_build_graph(n: int, edges) -> Graph:
     """build_graph as it was before its bulk fast path (verbatim, but for
-    the one InvalidGraph that replaced its three exception classes)."""
+    the one InvalidGraph that replaced its three exception classes, and
+    the edge that is not a pair of ints, now named as InvalidGraph)."""
     if n < 0:
         raise InvalidGraph(f"vertex count {n} is negative")
     canon: list = []
     seen: set = set()
-    for u, v in edges:
+    for e in edges:
+        if len(e) != 2:
+            raise InvalidGraph(f"edge {e!r} is not a pair (u, v)")
+        u, v = e
+        if type(u) is not int or type(v) is not int:
+            raise InvalidGraph(f"edge {e!r} has an endpoint that is not an int")
         if u == v:
             raise InvalidGraph(f"edge ({u}, {v}) is a loop")
         if not (0 <= u < n and 0 <= v < n):

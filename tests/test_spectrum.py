@@ -7,7 +7,9 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+import itertools
 from itertools import permutations
 from pathlib import Path
 
@@ -28,8 +30,8 @@ from antimagic.constructors import (
     construct_two_s3,
 )
 from antimagic.errors import BadParameters, BudgetExceeded, NoSddsFound
-from antimagic.families import complete, cp3, cube, path, petersen, star
-from antimagic.graph import build_graph
+from antimagic.families import complete, cp3, cube, double_star, path, petersen, star
+from antimagic.graph import Graph, build_graph
 from antimagic.labeling import (
     EdgeLabeling,
     is_sdds,
@@ -375,6 +377,63 @@ def test_a_family_request_parameter_that_is_not_an_int_raises_bad_parameters(n):
         spectrum(path(30), family=("path", {"n": n}))
     with pytest.raises(BadParameters, match=message):
         labeling_at(path(30), 0, family=("path", {"n": n}))
+
+
+@pytest.mark.parametrize(
+    "g, family",
+    [
+        (path(30), ("star", {"n": 29})),  # once reported shift -15 excluded
+        (star(29), ("path", {"n": 30})),  # the same n and m, other edges
+        (build_graph(6, [(0, 2), (2, 1), (1, 3), (3, 4), (4, 5)]), ("path", {"n": 6})),
+        (path(30), ("path", {"n": 31})),
+        (cp3(4), ("cp3", {"c": 3})),
+        (double_star(2, 3), ("double_star", {"a": 3, "b": 2})),
+        (families.two_s3(), ("two_p4", {})),
+        (path(6), ("p5prime", {})),
+    ],
+)
+def test_a_family_request_for_another_graph_raises_bad_parameters(g, family):
+    graph = f"this {g.n}-vertex, {g.m}-edge graph"
+    message = f"^family {re.escape(repr(family))} does not build {graph}$"
+    with pytest.raises(BadParameters, match=message):
+        spectrum(g, family=family)
+    with pytest.raises(BadParameters, match=message):
+        labeling_at(g, 0, family=family)
+
+
+def test_a_family_request_out_of_its_builders_range_raises_bad_parameters():
+    with pytest.raises(BadParameters, match="^path needs at least one vertex, got 0$"):
+        spectrum(Graph(0, ()), family=("path", {"n": 0}))
+    with pytest.raises(BadParameters, match="^need at least one component, got -1$"):
+        labeling_at(path(3), 0, family=("cp3", {"c": -1}))
+
+
+def test_every_family_with_a_construction_has_the_shape_of_what_it_builds():
+    assert set(constructors._SHAPES) == {
+        name for name, entry in FAMILIES.items() if entry.construct is not None
+    }
+    for name, shape in constructors._SHAPES.items():
+        params = FAMILIES[name].params
+        for values in itertools.product(range(1, 8), repeat=len(params)):
+            g = FAMILIES[name].build(**dict(zip(params, values)))
+            n, m, edges = shape(**dict(zip(params, values)))
+            assert (n, m, tuple(edges)) == (g.n, g.m, g.edges), (name, values)
+
+
+def test_a_family_request_is_checked_in_constant_memory():
+    # a copy of p200000's edges would take about 24 MiB; the check streams them
+    g = path(200_000)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            assert call().graph is g
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    checked = peak(lambda: labeling_at(g, 0, family=("path", {"n": 200_000})))
+    assert checked < peak(lambda: construct_path_shifted(200_000, 0, g=g)) + 2**20
 
 
 def test_spectra_on_four_threads_match_a_sequential_run():
