@@ -21,7 +21,8 @@ from .graph import Edge, Graph
 
 class EdgeLabeling(namedtuple("EdgeLabeling", "graph labels base")):
     """Labels on a graph's edges, in canonical edge order, and the claimed
-    shift `base` (None for a raw labeling)."""
+    shift `base` (None for a raw labeling); BadParameters unless `base`
+    is None or an int."""
 
     __slots__ = ()
 
@@ -30,6 +31,8 @@ class EdgeLabeling(namedtuple("EdgeLabeling", "graph labels base")):
     ) -> EdgeLabeling:
         if len(labels) != graph.m:
             raise InvalidLabeling(f"{len(labels)} labels for {graph.m} edges")
+        if base is not None:
+            require_int("shift", base)
         return tuple.__new__(cls, (graph, labels, base))
 
     @classmethod
@@ -102,7 +105,9 @@ def verify_shifted(f: EdgeLabeling, k: int) -> Verdict:
     Accepts iff the labels are exactly {k+1, ..., k+m} and all vertex sums
     are pairwise distinct. Label-set violations are reported before sum
     collisions, each with the first witness in canonical edge order.
+    Raises BadParameters unless k is an int.
     """
+    require_int("shift", k)
     return _shifted_verdict(f, k)
 
 

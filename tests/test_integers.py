@@ -38,7 +38,7 @@ from antimagic.families import (
     star,
 )
 from antimagic.graph import Graph, build_graph, level_partition
-from antimagic.labeling import shift_labeling
+from antimagic.labeling import EdgeLabeling, shift_labeling, verify_shifted
 
 
 class Size(IntEnum):
@@ -103,6 +103,27 @@ def test_a_certificate_of_a_shift_that_is_not_an_int_is_refused():
         labeling_to_certificate(f, 2.5)
     with pytest.raises(BadParameters, match="^shift must be an int, got 2.5$"):
         labeling_to_certificate(f._replace(base=2.5))
+
+
+@pytest.mark.parametrize("k, text", [(None, "None"), ("a", "'a'"), (2.5, "2.5"), (True, "True")])
+def test_verify_shifted_refuses_a_shift_that_is_not_an_int(k, text):
+    # None and "a" once raised a bare TypeError, 2.5 gave a verdict about [3.5, 9.5]
+    f = construct_path_shifted(8, -3)
+    with pytest.raises(BadParameters, match=f"^shift must be an int, got {text}$"):
+        verify_shifted(f, k)
+
+
+@pytest.mark.parametrize(
+    "base, text", [("x", "'x'"), (2.5, "2.5"), (True, "True"), (Size.THREE, "<Size.THREE: 3>")]
+)
+def test_a_labeling_refuses_a_base_that_is_neither_none_nor_an_int(base, text):
+    # base="x" was once accepted, and a later negate_labeling raised a bare TypeError
+    g = path(3)
+    with pytest.raises(BadParameters, match=f"^shift must be an int, got {text}$"):
+        EdgeLabeling(g, (1, 2), base=base)
+    with pytest.raises(BadParameters, match=f"^shift must be an int, got {text}$"):
+        EdgeLabeling(g, (1, 2), base=0)._replace(base=base)
+    assert EdgeLabeling(g, (1, 2)).base is None
 
 
 @pytest.mark.parametrize(
