@@ -13,7 +13,7 @@ from itertools import chain
 
 from .errors import CertificateError, InvalidGraph, require_int
 from .graph import Graph, _canonical_edges
-from .labeling import EdgeLabeling, Verdict, _shifted_verdict, vertex_sums
+from .labeling import EdgeLabeling, Verdict, _plain_ints, _shifted_verdict, vertex_sums
 
 
 def labeling_to_certificate(f: EdgeLabeling, k: int | None = None) -> dict:
@@ -32,11 +32,6 @@ def labeling_to_certificate(f: EdgeLabeling, k: int | None = None) -> dict:
         "vertex_sums": sums,
         "valid": bool(_shifted_verdict(f, k, sums)),
     }
-
-
-def _plain_ints(values) -> bool:
-    """True when every value is an int: a bool, a float or an int subclass is not."""
-    return set(map(type, values)) <= {int}
 
 
 def _int_pairs(edges: list) -> bool:

@@ -18,8 +18,8 @@ class AntimagicError(Exception):
 class InvalidGraph(AntimagicError):
     """An edge list is not a simple graph on vertices 0..n-1: a loop, a
     repeated vertex pair, an edge that is not a pair, a vertex count or
-    endpoint that is not an int or is out of range, or edges handed to
-    `Graph` that are not a tuple."""
+    endpoint that is not an int or is out of range, edges that are not
+    iterable, or edges handed to `Graph` that are not a tuple."""
 
 
 class ParseError(AntimagicError):
@@ -38,8 +38,8 @@ class BadParameters(AntimagicError):
 
 
 class InvalidLabeling(AntimagicError):
-    """A labeling does not fit its use: labels missing or miscounted, or
-    not a permutation of 1..m."""
+    """A labeling does not fit its use: labels missing or miscounted, not
+    ints or with no length, or not a permutation of 1..m."""
 
 
 class WrongGraphClass(AntimagicError):

@@ -18,6 +18,9 @@ Edge = tuple[int, int]
 
 
 def canonical_edge(u: int, v: int) -> Edge:
+    """(u, v) in ascending order; InvalidGraph unless both are ints."""
+    if type(u) is not int or type(v) is not int:
+        raise InvalidGraph(f"edge {reprlib.repr((u, v))} has an endpoint that is not an int")
     return (u, v) if u <= v else (v, u)
 
 
@@ -104,10 +107,11 @@ class Graph(namedtuple("Graph", "n edges")):
 def build_graph(n: int, edges) -> Graph:
     """Validate and canonicalize an edge list into a Graph.
 
-    Rejects, with InvalidGraph, an n or an endpoint that is not an int, an
-    edge that is not a pair, loops, repeated vertex pairs (in either order),
-    and endpoints outside [0, n). An edge that is already a plain tuple
-    (u, v) with u < v is kept, not copied: the graph shares it with its input.
+    Rejects, with InvalidGraph, edges that are not iterable, an n or an
+    endpoint that is not an int, an edge that is not a pair, loops,
+    repeated vertex pairs (in either order), and endpoints outside
+    [0, n). An edge that is already a plain tuple (u, v) with u < v is
+    kept, not copied: the graph shares it with its input.
     """
     if not isinstance(edges, (list, tuple)):
         edges = _canonical_edges(n, edges)  # an iterator is read once
@@ -130,6 +134,10 @@ def _canonical_edges(n: int, edges) -> list[Edge]:
         raise InvalidGraph(f"vertex count must be an int, got {reprlib.repr(n)}")
     if n < 0:
         raise InvalidGraph(f"vertex count {n} is negative")
+    try:
+        edges = iter(edges)
+    except TypeError:
+        raise InvalidGraph(f"edges must be iterable, got {reprlib.repr(edges)}") from None
     canon = []
     seen: set[Edge] = set()
     for e in edges:

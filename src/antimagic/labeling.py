@@ -10,6 +10,7 @@ recomputed from the labels.
 from __future__ import annotations
 
 import math
+import reprlib
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import repeat
@@ -21,23 +22,28 @@ from .graph import Edge, Graph
 
 class EdgeLabeling(namedtuple("EdgeLabeling", "graph labels base")):
     """Labels on a graph's edges, in canonical edge order, and the claimed
-    shift `base` (None for a raw labeling); BadParameters unless `base`
-    is None or an int."""
+    shift `base` (None for a raw labeling); InvalidLabeling unless `labels`
+    holds one int per edge, BadParameters unless `base` is None or an int."""
 
     __slots__ = ()
 
     def __new__(
         cls, graph: Graph, labels: tuple[int, ...], base: int | None = None
     ) -> EdgeLabeling:
+        if not hasattr(labels, "__len__"):
+            raise InvalidLabeling(f"labels must be a sequence of ints, got {reprlib.repr(labels)}")
         if len(labels) != graph.m:
             raise InvalidLabeling(f"{len(labels)} labels for {graph.m} edges")
+        if not _plain_ints(labels):  # the scan only names the first one
+            i, lab = next((i, lab) for i, lab in enumerate(labels) if type(lab) is not int)
+            raise InvalidLabeling(f"label {reprlib.repr(lab)} on edge {graph.edges[i]} is not an int")
         if base is not None:
             require_int("shift", base)
         return tuple.__new__(cls, (graph, labels, base))
 
     @classmethod
     def _make(cls, iterable) -> EdgeLabeling:
-        # `_replace` builds through `_make`; both keep the length check
+        # `_replace` builds through `_make`; both keep the format check
         return cls(*iterable)
 
     @classmethod
@@ -45,6 +51,8 @@ class EdgeLabeling(namedtuple("EdgeLabeling", "graph labels base")):
         cls, graph: Graph, mapping: Mapping[Edge, int], base: int | None = None
     ) -> EdgeLabeling:
         """Build a labeling from an edge -> label mapping covering every edge."""
+        if not isinstance(mapping, Mapping):
+            raise InvalidLabeling(f"labels must be a mapping, got {reprlib.repr(mapping)}")
         labels = []
         for e in graph.edges:
             if e not in mapping:
@@ -54,6 +62,11 @@ class EdgeLabeling(namedtuple("EdgeLabeling", "graph labels base")):
 
     def as_dict(self) -> dict[Edge, int]:
         return dict(zip(self.graph.edges, self.labels))
+
+
+def _plain_ints(values) -> bool:
+    """True when every value is an int: a bool, a float or an int subclass is not."""
+    return set(map(type, values)) <= {int}
 
 
 class Verdict(namedtuple("Verdict", "ok code witness detail", defaults=(None, None, None))):
@@ -118,16 +131,14 @@ def _shifted_verdict(f: EdgeLabeling, k: int, sums: list[int] | None = None) -> 
     vertices touch an edge, so two of vertices 0..2m+1 are isolated and
     share the sum 0, the first collision lies in that prefix, and a huge
     n costs nothing. The scan of all n sums finds that same collision.
-    The least and greatest label and one set accept (m distinct labels in
-    [lo, hi] are exactly lo..hi); the scans run only to name the first
-    violation.
+    The least and greatest label and one set accept, exactly, as m
+    distinct int labels in [lo, hi] are lo..hi; the scans run only to
+    name the first violation.
     """
     g = f.graph
     lo, hi = k + 1, k + g.m
     labels = f.labels
-    if len(labels) != g.m or (
-        labels and (min(labels) != lo or max(labels) != hi or len(set(labels)) != g.m)
-    ):
+    if labels and (min(labels) != lo or max(labels) != hi or len(set(labels)) != g.m):
         seen: dict[int, int] = {}
         for i, lab in enumerate(labels):
             if lab in seen:
@@ -178,17 +189,11 @@ def _sum_collision(sums: Sequence[int]) -> Verdict:
 def _require_one_to_m(f: EdgeLabeling) -> None:
     """Raise InvalidLabeling unless the labels are a permutation of 1..m.
 
-    m labels that cover 1..m are a permutation of it, so one set accepts;
-    the sort runs only to name the labels in the message, or when they
-    are unhashable.
+    m int labels that cover 1..m are a permutation of it, so one set
+    decides; the sort runs only to name the labels in the message.
     """
     m = f.graph.m
-    try:
-        if len(f.labels) == m and set(f.labels).issuperset(range(1, m + 1)):
-            return
-    except TypeError:
-        pass
-    if sorted(f.labels) != list(range(1, m + 1)):
+    if not set(f.labels).issuperset(range(1, m + 1)):
         raise InvalidLabeling(
             f"labels must be a permutation of 1..{m}, got {sorted(f.labels)}"
         )

@@ -12,11 +12,17 @@ from __future__ import annotations
 from enum import IntEnum
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from antimagic.certificate import check_certificate, labeling_to_certificate
+import antimagic
+from antimagic.certificate import (
+    certificate_to_labeling,
+    check_certificate,
+    labeling_to_certificate,
+)
 from antimagic.constructors import (
+    closed_form_spectrum,
     construct_cp3,
     construct_double_star,
     construct_p5prime,
@@ -27,7 +33,13 @@ from antimagic.constructors import (
     construct_two_s3,
     p3_threshold,
 )
-from antimagic.errors import AntimagicError, BadParameters, CertificateError, InvalidGraph
+from antimagic.errors import (
+    AntimagicError,
+    BadParameters,
+    CertificateError,
+    InvalidGraph,
+    InvalidLabeling,
+)
 from antimagic.families import (
     complete,
     complete_bipartite,
@@ -37,8 +49,16 @@ from antimagic.families import (
     path,
     star,
 )
-from antimagic.graph import Graph, build_graph, level_partition
+from antimagic.graph import Graph, build_graph, canonical_edge, level_partition
 from antimagic.labeling import EdgeLabeling, shift_labeling, verify_shifted
+from antimagic.spectrum import (
+    decide,
+    finite_window,
+    labeling_at,
+    search_sdds,
+    search_strong,
+    spectrum,
+)
 
 
 class Size(IntEnum):
@@ -60,14 +80,19 @@ class Size(IntEnum):
         (3.0, [(0, 1)], r"vertex count must be an int, got 3\.0"),
         (3, [(0, 1, 2)], r"edge \(0, 1, 2\) is not a pair \(u, v\)"),
         (3, [(0, 1), 7], r"edge 7 is not a pair \(u, v\)"),
+        # edges that are not iterable once raised a bare TypeError
+        (3, None, "edges must be iterable, got None"),
+        (3, 2.5, r"edges must be iterable, got 2\.5"),
+        (3, True, "edges must be iterable, got True"),
     ],
 )
 def test_build_graph_names_what_is_not_an_int_or_not_a_pair(n, edges, message):
     # a float endpoint once made a graph whose search raised a bare TypeError
     with pytest.raises(InvalidGraph, match=f"^{message}$"):
         build_graph(n, edges)
-    with pytest.raises(InvalidGraph, match=f"^{message}$"):
-        build_graph(n, iter(edges))
+    if isinstance(edges, list):
+        with pytest.raises(InvalidGraph, match=f"^{message}$"):
+            build_graph(n, iter(edges))
 
 
 @pytest.mark.parametrize("edge", [(0, 1.0), (0.0, 1), (False, 1), (0, Size.THREE)])
@@ -127,6 +152,36 @@ def test_a_labeling_refuses_a_base_that_is_neither_none_nor_an_int(base, text):
 
 
 @pytest.mark.parametrize(
+    "labels, message",
+    [
+        ((1, 2.5, 3), r"label 2\.5 on edge \(1, 2\) is not an int"),
+        ((1.5, 2, 3), r"label 1\.5 on edge \(0, 1\) is not an int"),
+        ((1, 2.0, 3), r"label 2\.0 on edge \(1, 2\) is not an int"),
+        ((1, True, 3), r"label True on edge \(1, 2\) is not an int"),
+        ((1, "a", 3), r"label 'a' on edge \(1, 2\) is not an int"),
+        ((1, Size.THREE, 2), r"label <Size\.THREE: 3> on edge \(1, 2\) is not an int"),
+        (None, "labels must be a sequence of ints, got None"),
+        (3, "labels must be a sequence of ints, got 3"),
+    ],
+)
+def test_a_labeling_refuses_labels_that_are_not_ints(labels, message):
+    # (1, 2.5, 3) was once accepted, and verify_shifted at shift 0 accepted it
+    g = path(4)
+    with pytest.raises(InvalidLabeling, match=f"^{message}$"):
+        EdgeLabeling(g, labels, base=0)
+    with pytest.raises(InvalidLabeling, match=f"^{message}$"):
+        EdgeLabeling(g, (1, 2, 3), base=0)._replace(labels=labels)
+
+
+def test_a_labeling_from_a_mapping_refuses_values_that_are_not_ints():
+    g = path(4)
+    with pytest.raises(InvalidLabeling, match=r"^label 2\.5 on edge \(1, 2\) is not an int$"):
+        EdgeLabeling.from_dict(g, {(0, 1): 1, (1, 2): 2.5, (2, 3): 3})
+    with pytest.raises(InvalidLabeling, match="^labels must be a mapping, got None$"):
+        EdgeLabeling.from_dict(g, None)
+
+
+@pytest.mark.parametrize(
     "field, message",
     [
         ("n", "field 'n' must be an integer"),
@@ -161,9 +216,11 @@ NOT_INTS = st.one_of(
 )
 
 P6 = construct_path_shifted(6, 0)
+P6_DOC = labeling_to_certificate(P6)
+P4 = path(4)
 
 # where None is the documented default: the default root, the labeling's own shift
-NONE_IS_DEFAULT = {"level_partition root", "labeling_to_certificate k"}
+NONE_IS_DEFAULT = {"level_partition root", "labeling_to_certificate k", "EdgeLabeling base"}
 
 # each call takes its one bad value where an int belongs; the others are valid
 CALLS = {
@@ -200,11 +257,73 @@ CALLS = {
     "Graph n": lambda x: Graph(x, ((0, 1),)),
     "Graph u": lambda x: Graph(4, ((0, 1), (x, 3))),
     "Graph v": lambda x: Graph(4, ((0, x),)),
+    "canonical_edge u": lambda x: canonical_edge(x, 3),
+    "canonical_edge v": lambda x: canonical_edge(3, x),
+    "EdgeLabeling label": lambda x: EdgeLabeling(P6.graph, (x,) + P6.labels[1:]),
+    "EdgeLabeling base": lambda x: EdgeLabeling(P6.graph, P6.labels, x),
+    "EdgeLabeling.from_dict value": lambda x: EdgeLabeling.from_dict(
+        P6.graph, {**P6.as_dict(), (2, 3): x}
+    ),
+    "EdgeLabeling._replace labels": lambda x: P6._replace(labels=P6.labels[:-1] + (x,)),
+    "verify_shifted k": lambda x: verify_shifted(P6, x),
+    "check_certificate n": lambda x: check_certificate({**P6_DOC, "n": x}),
+    "certificate_to_labeling k": lambda x: certificate_to_labeling({**P6_DOC, "k": x}),
+    "decide k": lambda x: decide(P4, x),
+    "decide budget": lambda x: decide(P4, 0, x),
+    "search_sdds budget": lambda x: search_sdds(P4, x),
+    "search_strong budget": lambda x: search_strong(P4, x),
+    "finite_window budget": lambda x: finite_window(P4, x),
+    "labeling_at k": lambda x: labeling_at(P4, x),
+    "labeling_at budget": lambda x: labeling_at(P4, 0, x),
+    "labeling_at family n": lambda x: labeling_at(P4, 0, family=("path", {"n": x})),
+    "spectrum budget": lambda x: spectrum(P4, budget=x),
+    "spectrum window lo": lambda x: spectrum(P4, (x, 0)),
+    "spectrum window hi": lambda x: spectrum(P4, (-1, x)),
+    "closed_form_spectrum n": lambda x: closed_form_spectrum("path", n=x),
+    "closed_form_spectrum a": lambda x: closed_form_spectrum("double_star", a=x, b=2),
+    "closed_form_spectrum b": lambda x: closed_form_spectrum("double_star", a=2, b=x),
+    "closed_form_spectrum c": lambda x: closed_form_spectrum("cp3", c=x),
 }
 
+# the public names that take no int a caller could get wrong: constants, the
+# error base, the fixed graphs, functions of a graph, a labeling or text only,
+# and the records the toolkit returns but never reads back from a caller
+TAKES_NO_INT = (
+    "ALL_SHIFTS",
+    "AllShifts",
+    "AntimagicError",
+    "SpectrumReport",
+    "Verdict",
+    "WindowResult",
+    "components",
+    "construct_forest_sdds",
+    "construct_odd_degree",
+    "cube",
+    "is_sdds",
+    "is_strongly_antimagic",
+    "negate_labeling",
+    "p5prime",
+    "parse_edge_list",
+    "petersen",
+    "sdds_shift_threshold",
+    "two_p4",
+    "two_s3",
+    "vertex_sums",
+)
 
-@settings(max_examples=300)
+
+def test_every_public_name_that_takes_an_int_is_in_the_contract():
+    covered = {name.split()[0].split(".")[0] for name in CALLS}
+    assert set(antimagic.__all__) - covered == set(TAKES_NO_INT)
+
+
+@settings(max_examples=600)
 @given(st.sampled_from(sorted(CALLS)), NOT_INTS)
+# canonical_edge once raised a bare TypeError here, and the labelings were accepted
+@example("canonical_edge u", None)
+@example("EdgeLabeling label", None)
+@example("EdgeLabeling label", "a")
+@example("EdgeLabeling.from_dict value", 2.5)
 def test_a_value_that_is_not_an_int_raises_an_antimagic_error(name, value):
     assume(value is not None or name not in NONE_IS_DEFAULT)
     with pytest.raises(AntimagicError):
