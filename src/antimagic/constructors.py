@@ -12,8 +12,8 @@ for the family. Each takes the family graph to label as an optional
 keyword `g`, used as is; without it, the constructor builds the graph
 itself.
 
-The module closes with the registry of named families, `FAMILIES`, their
-shapes, their closed-form spectra and the command line's `SHORTHANDS`.
+The module closes with the registry of named families, `FAMILIES`, one
+entry per family, and the command line's `SHORTHANDS`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import accumulate, groupby
 
 from .errors import BadParameters, WrongGraphClass, require_int
 from .families import (
-    _P5PRIME, _TWO_P4, _TWO_S3, _Shape, _check_size, _cp3, _double_star, _path, _star, complete,
+    _P5PRIME, _TWO_P4, _TWO_S3, _check_size, _cp3, _double_star, _path, _star, complete,
     complete_bipartite, cp3, cube, cycle, double_star, p5prime, path, petersen, star, two_p4,
     two_s3,
 )
@@ -294,14 +294,9 @@ def construct_double_star(
         plan = _double_star_plan(max(a, b), min(a, b), j, g.m)
         if plan is None:
             return None
-        bridge, big_leaves, small_leaves = plan
-        v_list, u_list = (big_leaves, small_leaves) if a >= b else (small_leaves, big_leaves)
-        mapping: dict[Edge, int] = {(0, 1): bridge}
-        for i, lab in enumerate(v_list):
-            mapping[(0, 2 + i)] = lab
-        for i, lab in enumerate(u_list):
-            mapping[(1, a + 2 + i)] = lab
-        return EdgeLabeling.from_dict(g, mapping, base=j)
+        bridge, big, small = plan
+        # canonical edge order: the bridge, center 0's a leaves, center 1's b
+        return EdgeLabeling(g, (bridge, *big, *small) if a >= b else (bridge, *small, *big), base=j)
 
     return mirror(upper, g.m, k)
 
@@ -339,31 +334,29 @@ def construct_cp3(c: int, k: int, *, g: Graph | None = None) -> EdgeLabeling:
     if g is None:
         g = cp3(c)
     t = k - c // 2
-    mapping: dict[Edge, int] = {}
-    for i, (small, large) in enumerate(_cp3_pairs(c)):
-        mapping[(3 * i, 3 * i + 1)] = small + t
-        mapping[(3 * i + 1, 3 * i + 2)] = large + t
-    return EdgeLabeling.from_dict(g, mapping, base=k)
+    # canonical edge order: each component's first edge, then its second
+    return EdgeLabeling(g, tuple(x + t for pair in _cp3_pairs(c) for x in pair), base=k)
 
 
-# A fixed small graph's labelings by table: its builder, its edge count
-# m, and on the upper half 2k >= -(m+1), the first shift `start` from
-# which labels are k plus `offsets`, and the labels of the shifts in
-# `fixed` below it; every other shift there is infeasible.
-_TABLES: dict[str, tuple[Callable[[], Graph], int, int, tuple, dict]] = {
-    "two_p4": (two_p4, 6, -1, (1, 5, 2, 3, 6, 4), {-3: (-2, -1, 0, 2, 3, 1)}),
-    "two_s3": (two_s3, 6, -1, (1, 3, 6, 2, 4, 5), {-3: (-2, -1, 0, 1, 2, 3)}),
+# A fixed small graph's labelings by table: on the upper half
+# 2k >= -(m+1), the first shift `start` from which labels are k plus
+# `offsets`, and the labels of the shifts in `fixed` below it; every other
+# shift there is infeasible. The graph and m are its `FAMILIES` entry's.
+_TABLES: dict[str, tuple[int, tuple, dict]] = {
+    "two_p4": (-1, (1, 5, 2, 3, 6, 4), {-3: (-2, -1, 0, 2, 3, 1)}),
+    "two_s3": (-1, (1, 3, 6, 2, 4, 5), {-3: (-2, -1, 0, 1, 2, 3)}),
     # canonical edge order: the four path edges interleaved with the
     # pendant edge at the middle vertex
-    "p5prime": (p5prime, 5, 0, (2, 4, 5, 1, 3), {-1: (1, 3, 4, 0, 2), -2: (3, 2, 1, -1, 0)}),
+    "p5prime": (0, (2, 4, 5, 1, 3), {-1: (1, 3, 4, 0, 2), -2: (3, 2, 1, -1, 0)}),
 }
 
 
 def _tabled(name: str, k: int, g: Graph | None = None) -> EdgeLabeling | None:
     """k-shifted labeling of the fixed graph `name` from its table, or
     None; `mirror` covers the lower half."""
-    build, m, start, offsets, fixed = _TABLES[name]
+    start, offsets, fixed = _TABLES[name]
     require_int("shift", k)
+    entry = FAMILIES[name]
 
     def upper(j: int) -> EdgeLabeling | None:
         if j >= start:
@@ -372,9 +365,17 @@ def _tabled(name: str, k: int, g: Graph | None = None) -> EdgeLabeling | None:
             labels = fixed[j]
         else:
             return None
-        return EdgeLabeling(build() if g is None else g, labels, base=j)
+        return EdgeLabeling(entry.build() if g is None else g, labels, base=j)
 
-    return mirror(upper, m, k)
+    return mirror(upper, entry.shape()[1], k)
+
+
+def _tabled_excluded(name: str) -> frozenset[int]:
+    # the upper-half shifts below `start` with no `fixed` row, and their mirrors
+    start, _, fixed = _TABLES[name]
+    m = FAMILIES[name].shape()[1]
+    upper = [j for j in range(-((m + 1) // 2), start) if j not in fixed]
+    return frozenset(upper + [-(m + 1) - j for j in upper])
 
 
 def construct_two_p4(k: int, *, g: Graph | None = None) -> EdgeLabeling | None:
@@ -484,75 +485,68 @@ def _construct_cp3(k: int, g: Graph, search: Callable, c: int) -> EdgeLabeling |
     return mirror(lambda j: construct_cp3(c, j, g=g) if j >= c // 2 else None, g.m, k)
 
 
-class Family(namedtuple("Family", "params build construct excluded", defaults=(None, None))):
+class Family(namedtuple("Family", "params build shape construct excluded", defaults=(None,) * 3)):
     """A graph family known by name, built by `build(**params)`.
 
-    `params` names the keyword parameters. `construct(k, g=graph,
-    search=search, **params)` returns a k-shifted labeling of that very
-    graph (`f.graph is g`) or None when k is infeasible; `search(k)`
-    decides shift k on g exhaustively, for the paths too short for a
-    construction. `excluded(**params)` gives the closed-form infeasible
-    shifts, and raises BadParameters on a parameter out of range or
-    None. Either may be None where the family has none.
+    `params` names the keyword parameters. `shape(**params)` is the
+    (n, m, canonical edges) `build` would build: a family request's graph
+    is checked against it. `construct(k, g=graph, search=search,
+    **params)` returns a k-shifted labeling of that very graph (`f.graph
+    is g`) or None when k is infeasible; `search(k)` decides shift k on
+    g exhaustively, for the paths too short for a construction.
+    `excluded(**params)` gives the closed-form infeasible shifts, and
+    raises BadParameters on a parameter out of range or None. The last
+    three are None where the family has no construction or closed form.
     """
 
     __slots__ = ()
 
 
-# Adding a family means adding one entry here, and one in `_SHAPES` below if
-# it has a construction. Entries call builders and constructors by this
-# module's names, so a function rebound here is the one called.
+# Adding a family means adding one entry here. Entries call builders, shapes
+# and constructors by this module's names, so a function rebound here is called.
 FAMILIES: dict[str, Family] = {
-    "path": Family(("n",), lambda n: path(n), _construct_path, _path_excluded),
+    "path": Family(("n",), lambda n: path(n), lambda n: _path(n), _construct_path, _path_excluded),
     "star": Family(
         ("n",),
         lambda n: star(n),
+        lambda n: _star(n),
         lambda k, g, n, **_: None if n == 1 else construct_star(n, k, g=g),
         _star_excluded,
     ),
     "double_star": Family(
         ("a", "b"),
         lambda a, b: double_star(a, b),
+        lambda a, b: _double_star(a, b),
         lambda k, g, a, b, **_: construct_double_star(a, b, k, g=g),
         _double_star_excluded,
     ),
-    "cp3": Family(("c",), lambda c: cp3(c), _construct_cp3, _cp3_excluded),
+    "cp3": Family(("c",), lambda c: cp3(c), lambda c: _cp3(c), _construct_cp3, _cp3_excluded),
     "two_p4": Family(
         (),
         lambda: two_p4(),
+        lambda: _TWO_P4,
         lambda k, g, **_: construct_two_p4(k, g=g),
-        lambda: frozenset({-5, -2}),
+        lambda: _tabled_excluded("two_p4"),
     ),
     "two_s3": Family(
         (),
         lambda: two_s3(),
+        lambda: _TWO_S3,
         lambda k, g, **_: construct_two_s3(k, g=g),
-        lambda: frozenset({-5, -2}),
+        lambda: _tabled_excluded("two_s3"),
     ),
     "p5prime": Family(
         (),
         lambda: p5prime(),
+        lambda: _P5PRIME,
         lambda k, g, **_: construct_p5prime(k, g=g),
-        lambda: frozenset({-3}),
+        lambda: _tabled_excluded("p5prime"),
     ),
     "cycle": Family(("n",), lambda n: cycle(n)),
     "complete": Family(("n",), lambda n: complete(n)),
     "complete_bipartite": Family(("a", "b"), lambda a, b: complete_bipartite(a, b)),
     "cube": Family((), lambda: cube()),
     "petersen": Family((), lambda: petersen()),
-}
-
-# The shape (n, m, canonical edges) of what each family with a construction
-# builds, from its parameters and without building it: a family request
-# checks its graph against this.
-_SHAPES: dict[str, Callable[..., _Shape]] = {
-    "path": _path,
-    "star": lambda n: _star(n),
-    "double_star": _double_star,
-    "cp3": _cp3,
-    "two_p4": lambda: _TWO_P4,
-    "two_s3": lambda: _TWO_S3,
-    "p5prime": lambda: _P5PRIME,
 }
 
 # Command-line shorthands: `p7` is the path on 7 vertices, `s4` the star with 4 leaves.

@@ -39,7 +39,7 @@ class BadParameters(AntimagicError):
 
 class InvalidLabeling(AntimagicError):
     """A labeling does not fit its use: labels missing or miscounted, not
-    ints or with no length, or not a permutation of 1..m."""
+    ints or not a sequence, or not a permutation of 1..m."""
 
 
 class WrongGraphClass(AntimagicError):

@@ -23,15 +23,18 @@ from .graph import Edge, Graph
 class EdgeLabeling(namedtuple("EdgeLabeling", "graph labels base")):
     """Labels on a graph's edges, in canonical edge order, and the claimed
     shift `base` (None for a raw labeling); InvalidLabeling unless `labels`
-    holds one int per edge, BadParameters unless `base` is None or an int."""
+    is a sequence of one int per edge, kept as a tuple, BadParameters
+    unless `base` is None or an int."""
 
     __slots__ = ()
 
     def __new__(
         cls, graph: Graph, labels: tuple[int, ...], base: int | None = None
     ) -> EdgeLabeling:
-        if not hasattr(labels, "__len__"):
+        # a set's or a mapping's order is no edge order; a tuple skips the slow ABC check
+        if type(labels) is not tuple and not isinstance(labels, Sequence):
             raise InvalidLabeling(f"labels must be a sequence of ints, got {reprlib.repr(labels)}")
+        labels = tuple(labels)  # a tuple as is, else a copy no caller can change after the checks
         if len(labels) != graph.m:
             raise InvalidLabeling(f"{len(labels)} labels for {graph.m} edges")
         if not _plain_ints(labels):  # the scan only names the first one

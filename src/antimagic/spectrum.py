@@ -18,9 +18,7 @@ from functools import lru_cache
 from itertools import accumulate, chain
 from operator import eq
 
-from .constructors import (
-    _SHAPES, ALL_SHIFTS, FAMILIES, construct_forest_sdds, construct_odd_degree,
-)
+from .constructors import ALL_SHIFTS, FAMILIES, construct_forest_sdds, construct_odd_degree
 from .errors import BadParameters, BudgetExceeded, NoSddsFound, WrongGraphClass, require_int
 from .graph import Graph
 from .labeling import EdgeLabeling, mirror, sdds_shift_threshold, shift_labeling
@@ -471,7 +469,7 @@ def _constructor(g: Graph, budget: int, family: tuple[str, dict] | None) -> Call
         require_int(f"family parameter {key}", value)
     if entry.construct is None:
         return None
-    n, m, edges = _SHAPES[name](**params)
+    n, m, edges = entry.shape(**params)
     if (g.n, g.m) != (n, m) or not all(map(eq, g.edges, edges)):
         raise BadParameters(f"family {family!r} does not build this {g.n}-vertex, {g.m}-edge graph")
     return lambda k: entry.construct(k, g=g, search=lambda j: decide(g, j, budget), **params)
@@ -502,10 +500,13 @@ class SpectrumReport(
     __slots__ = ()
 
     def entry(self, k: int) -> ShiftStatus:
-        for row in self.entries:
-            if row.k == k:
-                return row
-        raise KeyError(f"shift {k} is outside the swept range")
+        """The row of shift k; BadParameters unless k is an int in the sweep."""
+        require_int("shift", k)
+        lo, hi = self.sweep_lo, self.sweep_hi
+        if lo is None or not lo <= k <= hi:
+            swept = "nothing is swept" if lo is None else f"{lo}..{hi}"
+            raise BadParameters(f"shift {k} is outside the swept range: {swept}")
+        return self.entries[k - lo]
 
     def to_dict(self) -> dict:
         doc = {"n": self.graph.n, "m": self.graph.m, "edges": [list(e) for e in self.graph.edges]}

@@ -36,7 +36,6 @@ ERROR_CLASSES = {
 # (module, enclosing function, exception): raises that a Python protocol
 # asks for, not reports of bad input; argparse's `error` must not return
 PROTOCOL_RAISES = {
-    ("spectrum.py", "entry", "KeyError"),
     ("graph.py", "__setattr__", "AttributeError"),
     ("cli.py", "error", "SystemExit"),
 }

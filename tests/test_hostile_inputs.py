@@ -7,7 +7,8 @@ say so from the edges alone, exit with its usual status and print no
 traceback. A per-vertex list for n = 10^9 would need gigabytes. A sweep
 over two billion shifts or of more labels than the sweep cap, or a
 family with 10^8 or more edges, must be refused in one error line before
-any work starts.
+any work starts. In process, with the caps made small, each size is
+taken exactly at its cap and refused one past it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ from pathlib import Path
 import pytest
 
 import antimagic
+from antimagic import families
+from antimagic.constructors import FAMILIES
+from antimagic.errors import BadParameters
+from antimagic.families import path
+
+spectrum_module = sys.modules["antimagic.spectrum"]
 
 SRC = Path(antimagic.__file__).resolve().parent.parent
 CAP = 512 * 2**20
@@ -108,3 +115,51 @@ def test_wide_sweeps_and_huge_families_are_refused(argv, message):
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 1
     assert proc.stderr.splitlines()[-1] == message
+
+
+# --- each cap, at it and one past it ------------------------------------------
+
+# the parameters at which each sized family has exactly six edges
+AT_SIX_EDGES = {
+    "path": {"n": 7},
+    "star": {"n": 6},
+    "double_star": {"a": 2, "b": 3},
+    "cp3": {"c": 3},
+    "cycle": {"n": 6},
+    "complete": {"n": 4},
+    "complete_bipartite": {"a": 2, "b": 3},
+}
+
+
+def test_every_sized_family_is_built_at_the_edge_cap_and_refused_one_past_it(monkeypatch):
+    monkeypatch.setattr(families, "MAX_EDGES", 6)
+    assert set(AT_SIX_EDGES) == {name for name, entry in FAMILIES.items() if entry.params}
+    for name, params in AT_SIX_EDGES.items():
+        entry = FAMILIES[name]
+        assert entry.build(**params).m == 6, name
+        if entry.shape is not None:
+            assert entry.shape(**params)[1] == 6, name
+        for key in params:
+            past = {**params, key: params[key] + 1}
+            with pytest.raises(BadParameters, match=r"edges, more than the 6 allowed$"):
+                entry.build(**past)
+            if entry.shape is not None:  # a family request is refused by its shape
+                with pytest.raises(BadParameters, match=r"edges, more than the 6 allowed$"):
+                    antimagic.spectrum(path(3), family=(name, past))
+
+
+def test_a_sweep_is_made_at_each_cap_and_refused_one_past_it(monkeypatch):
+    monkeypatch.setattr(spectrum_module, "MAX_SWEEP", 5)
+    assert len(antimagic.spectrum(path(4), window=(1, 5)).entries) == 5
+    with pytest.raises(BadParameters, match=r"^sweep range 1\.\.6 holds 6 shifts, more than the 5 allowed$"):
+        antimagic.spectrum(path(4), window=(1, 6))
+    # path(4) has 3 edges, and its full window -3..-1 holds 9 labels
+    monkeypatch.setattr(spectrum_module, "MAX_SWEEP_LABELS", 12)
+    assert len(antimagic.spectrum(path(4), window=(1, 4)).entries) == 4
+    with pytest.raises(BadParameters, match=r"holds 15 labels, more than the 12 allowed$"):
+        antimagic.spectrum(path(4), window=(1, 5))
+    monkeypatch.setattr(spectrum_module, "MAX_SWEEP_LABELS", 9)
+    assert len(antimagic.spectrum(path(4)).entries) == 3
+    monkeypatch.setattr(spectrum_module, "MAX_SWEEP_LABELS", 8)
+    with pytest.raises(BadParameters, match=r"holds 9 labels, more than the 8 allowed$"):
+        antimagic.spectrum(path(4))

@@ -9,6 +9,7 @@ a bare TypeError or ValueError, nor gives a result.
 
 from __future__ import annotations
 
+import re
 from enum import IntEnum
 
 import pytest
@@ -171,6 +172,34 @@ def test_a_labeling_refuses_labels_that_are_not_ints(labels, message):
         EdgeLabeling(g, labels, base=0)
     with pytest.raises(InvalidLabeling, match=f"^{message}$"):
         EdgeLabeling(g, (1, 2, 3), base=0)._replace(labels=labels)
+
+
+@pytest.mark.parametrize(
+    "labels", [{1, 2, 3}, frozenset({1, 2, 3}), {1: 0, 2: 0, 3: 0}], ids=["set", "frozenset", "dict"]
+)
+def test_a_labeling_refuses_labels_that_are_not_a_sequence(labels):
+    # each was once built: which label sat on which edge followed set or key order
+    message = re.escape(f"labels must be a sequence of ints, got {labels!r}")
+    with pytest.raises(InvalidLabeling, match=f"^{message}$"):
+        EdgeLabeling(path(4), labels, base=0)
+    with pytest.raises(InvalidLabeling, match=f"^{message}$"):
+        EdgeLabeling(path(4), (1, 2, 3), base=0)._replace(labels=labels)
+
+
+@pytest.mark.parametrize("labels", [[1, 3, 2], (1, 3, 2)], ids=["list", "tuple"])
+def test_a_labeling_takes_its_labels_as_a_list_or_a_tuple(labels):
+    f = EdgeLabeling(path(4), labels, base=0)
+    assert f.labels == (1, 3, 2) and hash(f) == hash(EdgeLabeling(path(4), (1, 3, 2), base=0))
+    assert verify_shifted(f, 0)
+
+
+def test_a_labeling_keeps_a_copy_of_a_list_of_labels():
+    # a list changed after the checks was once read by verify_shifted,
+    # which then accepted (1, 2.5, 2) at shift 0
+    labels = [1, 3, 2]
+    f = EdgeLabeling(path(4), labels, base=0)
+    labels[1] = 2.5
+    assert f.labels == (1, 3, 2) and verify_shifted(f, 0)
 
 
 def test_a_labeling_from_a_mapping_refuses_values_that_are_not_ints():

@@ -94,7 +94,7 @@ CASES = [
     (Family, lambda: (("n",), len),
      lambda: {"params": ("n",), "build": len, "construct": None, "excluded": None},
      lambda: Family(("n",), len, len),
-     "Family(params=('n',), build=<built-in function len>, construct=None, excluded=None)"),
+     "Family(params=('n',), build=<built-in function len>, shape=None, construct=None, excluded=None)"),
 ]
 
 IDS = [f"{case[0].__name__}-{i}" for i, case in enumerate(CASES)]

@@ -192,6 +192,34 @@ def test_spectrum_override_window_adds_lemma_entries():
             assert verify_shifted(row.certificate, row.k), row.k
 
 
+def test_a_report_row_is_read_by_its_offset_in_the_sweep():
+    rep = spectrum(path(4), window=(-10, 5))
+    assert [rep.entry(k) for k in range(-10, 6)] == list(rep.entries)
+
+
+@pytest.mark.parametrize("k", [2.5, None, True])
+def test_a_report_row_of_a_shift_that_is_not_an_int_raises_bad_parameters(k):
+    # these raised a bare KeyError
+    with pytest.raises(BadParameters, match="^shift must be an int, got "):
+        spectrum(path(4)).entry(k)
+
+
+def test_a_report_row_outside_the_sweep_raises_bad_parameters():
+    rep = spectrum(path(4))
+    assert (rep.sweep_lo, rep.sweep_hi) == (-3, -1)
+    for k in (100, -4, 0):
+        with pytest.raises(BadParameters, match=f"^shift {k} is outside the swept range: -3..-1$"):
+            rep.entry(k)
+
+
+def test_no_row_of_a_report_without_a_window_is_swept():
+    rep = spectrum(path(2))
+    assert rep.excluded == ALL_SHIFTS and rep.entries == ()
+    for k in (-1, 0, 100):
+        with pytest.raises(BadParameters, match=f"^shift {k} is outside the swept range: nothing is swept$"):
+            rep.entry(k)
+
+
 def test_spectrum_mirrors_across_the_negation_axis():
     rep = spectrum(cp3(2))
     assert rep.excluded == (-5, -4, -3, -2, -1, 0)
@@ -409,14 +437,15 @@ def test_a_family_request_out_of_its_builders_range_raises_bad_parameters():
 
 
 def test_every_family_with_a_construction_has_the_shape_of_what_it_builds():
-    assert set(constructors._SHAPES) == {
+    assert {name for name, entry in FAMILIES.items() if entry.shape is not None} == {
         name for name, entry in FAMILIES.items() if entry.construct is not None
     }
-    for name, shape in constructors._SHAPES.items():
-        params = FAMILIES[name].params
-        for values in itertools.product(range(1, 8), repeat=len(params)):
-            g = FAMILIES[name].build(**dict(zip(params, values)))
-            n, m, edges = shape(**dict(zip(params, values)))
+    for name, entry in FAMILIES.items():
+        if entry.shape is None:
+            continue
+        for values in itertools.product(range(1, 8), repeat=len(entry.params)):
+            g = entry.build(**dict(zip(entry.params, values)))
+            n, m, edges = entry.shape(**dict(zip(entry.params, values)))
             assert (n, m, tuple(edges)) == (g.n, g.m, g.edges), (name, values)
 
 
