@@ -55,8 +55,9 @@ def certificate_to_labeling(doc: object) -> tuple[EdgeLabeling, int]:
     on any structural problem.
 
     Edges written as the toolkit writes them, each [u, v] with
-    0 <= u < v < n and strictly ascending, make a Graph as they stand;
-    any other list goes through the full validation.
+    0 <= u < v < n and strictly ascending, make a Graph as they stand,
+    whose format check covers their ints; any other list goes through the
+    full validation. Faults are named edges first, then labels, count, graph.
     """
     if not isinstance(doc, dict):
         raise CertificateError("certificate must be a JSON object")
@@ -64,15 +65,19 @@ def certificate_to_labeling(doc: object) -> tuple[EdgeLabeling, int]:
     k = _expect_int(doc, "k")
     edges = doc.get("edges")
     labels = doc.get("labels")
-    if not isinstance(edges, list) or not _int_pairs(edges):
+    g = None
+    if isinstance(edges, list) and set(map(type, edges)) <= {list}:
+        try:
+            g = Graph(n, tuple(map(tuple, edges)))
+        except InvalidGraph:
+            pass
+    if g is None and not (isinstance(edges, list) and _int_pairs(edges)):
         raise CertificateError("field 'edges' must be a list of [u, v] pairs")
     if not isinstance(labels, list) or not _plain_ints(labels):
         raise CertificateError("field 'labels' must be a list of integers")
     if len(labels) != len(edges):
         raise CertificateError(f"{len(labels)} labels for {len(edges)} edges")
-    try:
-        g = Graph(n, tuple(map(tuple, edges)))
-    except InvalidGraph:
+    if g is None:
         try:
             canon = _canonical_edges(n, edges)
         except InvalidGraph as exc:

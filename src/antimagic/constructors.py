@@ -93,15 +93,16 @@ def _label_levels(
     forest = g.m == g.n - len(comps)
     if not forest:
         depth = [0] * g.n
-        blocks = [[] for _ in comps]  # per component and depth: (internal, cross edges up)
+        # per component, at 2d the edges within depth d, at 2d - 1 those up from it
+        blocks: list[list[list[Edge]]] = [[] for _ in comps]
         for d, level in enumerate(levels):
             for v in level:
                 depth[v] = d
             for c, _ in groupby(level, comp_of.__getitem__):
-                blocks[c].append(([], []))
+                blocks[c] += ([], []) if d else ([],)
         for e in g.edges:
-            du, dv = depth[e[0]], depth[e[1]]
-            blocks[comp_of[e[0]]][du if du > dv else dv][du != dv].append(e)
+            u, v = e
+            blocks[comp_of[u]][depth[u] + depth[v]].append(e)
     # each component's next label, after the edges of those before it
     sizes = (len(vs) - 1 if forest else sum(map(deg.__getitem__, vs)) // 2 for vs in comps)
     nxt = list(accumulate(sizes, initial=1))
@@ -113,11 +114,11 @@ def _label_levels(
         if not forest:
             level = []  # each component's depth-d vertices, ascending
             for c, deep in groupby(levels[d], comp_of.__getitem__):
-                inner, cross = blocks[c][d]
+                inner, cross = blocks[c][2 * d], blocks[c][2 * d - 1]
                 dec = find_sigma_and_trails(Graph(g.n, tuple(cross)), deep)
                 x = nxt[c] + len(inner)
-                new = dict(zip(inner, range(nxt[c], x)))
-                new.update(label_trails(dec, range(x, x + len(cross) - len(dec.sigma))))
+                new = label_trails(dec, range(x, x + len(cross) - len(dec.sigma)))
+                new.update(zip(inner, range(nxt[c], x)))
                 for (u, v), y in new.items():
                     vsum[u] += y
                     vsum[v] += y

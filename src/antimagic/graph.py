@@ -40,14 +40,14 @@ class Graph(namedtuple("Graph", "n edges")):
             raise InvalidGraph(f"edges must be a tuple, got {kind}; build_graph takes any edge list")
         if type(n) is not int or n < 0:
             raise InvalidGraph(f"vertex count must be an int >= 0, got {reprlib.repr(n)}")
-        prev = ()  # sorts before every edge
+        pu = pv = -1  # the previous edge, before every edge; ints compare faster than tuples
         try:
             for e in edges:
                 u, v = e
                 if not (type(e) is tuple and type(u) is type(v) is int
-                        and 0 <= u < v < n and prev < e):
+                        and 0 <= u < v < n and (pu < u or pu == u and pv < v)):
                     break
-                prev = e
+                pu, pv = e
             else:
                 return tuple.__new__(cls, (n, edges))
         except (TypeError, ValueError):  # not a pair

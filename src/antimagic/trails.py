@@ -17,13 +17,16 @@ odd length.
 
 from __future__ import annotations
 
+import reprlib
 from bisect import insort
 from collections import defaultdict, namedtuple
 from collections.abc import Iterable, Sequence
+from itertools import pairwise
 from operator import contains
 
 from .errors import InvalidTrails
 from .graph import Edge, Graph
+from .labeling import _plain_ints
 
 
 class Trail(namedtuple("Trail", "vertices kind")):
@@ -58,8 +61,10 @@ class TrailDecomposition(namedtuple("TrailDecomposition", "cross deep sigma trai
         deep = set(self.deep)
         keys = [v for v, _ in self.sigma]
         sigma_edges = [e for _, e in self.sigma]
+        # keys listing the distinct deep vertices in order need no set of their own
+        listed = keys == list(self.deep) and len(keys) == len(deep)
         # one pass over all pairs accepts; the scan names the first fault
-        if not (all(map(contains, sigma_edges, keys)) and deep.issuperset(keys)):
+        if not (all(map(contains, sigma_edges, keys)) and (listed or deep.issuperset(keys))):
             for v, e in self.sigma:
                 if v not in e:
                     raise InvalidTrails(f"sigma edge {e} is not incident to vertex {v}")
@@ -68,9 +73,10 @@ class TrailDecomposition(namedtuple("TrailDecomposition", "cross deep sigma trai
         distinct = set(sigma_edges)
         if len(distinct) != len(sigma_edges):
             raise InvalidTrails("sigma is not injective")
-        if sorted(keys) != sorted(deep):
+        if not (listed or len(keys) == len(deep) == len(set(keys))):  # keys lie in deep
             raise InvalidTrails("sigma must choose exactly one edge per deep vertex")
 
+        ends: list[int] = []
         for vs, kind in self.trails:
             if len(vs) < 2:
                 raise InvalidTrails("trail with no edges")
@@ -80,15 +86,27 @@ class TrailDecomposition(namedtuple("TrailDecomposition", "cross deep sigma trai
             expected = _kind(first, last, deep)
             if kind != expected:
                 raise InvalidTrails(f"trail {vs} typed {kind}, endpoints say {expected}")
-        ends = [x for vs, _ in self.trails for x in (vs[0], vs[-1])]
+            ends += first, last
         if len(set(ends)) != len(ends):
             raise InvalidTrails("two trails share an initial or terminal vertex")
-        walked = [e for t in self.trails for e in t.edges()]
+        walked = [(a, b) if a <= b else (b, a) for vs, _ in self.trails for a, b in pairwise(vs)]
         distinct.update(walked)
         if len(distinct) != len(sigma_edges) + len(walked):
             raise InvalidTrails("an edge is covered twice")
         if distinct != set(self.cross.edges):
             raise InvalidTrails("sigma plus trails do not partition the cross edges")
+
+
+def _int_list(values: Iterable[int], what: str) -> list[int]:
+    """`values` as a list; InvalidTrails unless each is a plain int."""
+    try:
+        out = list(values)
+    except TypeError:
+        raise InvalidTrails(f"expected ints, got {reprlib.repr(values)}") from None
+    if not _plain_ints(out):
+        bad = next(x for x in out if type(x) is not int)
+        raise InvalidTrails(f"{what} {reprlib.repr(bad)} is not an int")
+    return out
 
 
 def _kind(first: int, last: int, deep: set[int]) -> str:
@@ -103,7 +121,8 @@ def _classify(seq: list[int], deep: set[int]) -> Trail:
     kind = _kind(seq[0], seq[-1], deep)
     # N trails start on the deep side, W and M trails at their smaller end
     flip = seq[0] not in deep if kind == "N" else seq[0] > seq[-1]
-    return Trail(tuple(seq[::-1] if flip else seq), kind)
+    # tuple.__new__ skips the namedtuple's Python-level __new__, once per trail
+    return tuple.__new__(Trail, (tuple(seq[::-1] if flip else seq), kind))
 
 
 def find_sigma_and_trails(h: Graph, deep: Iterable[int]) -> TrailDecomposition:
@@ -123,29 +142,28 @@ def find_sigma_and_trails(h: Graph, deep: Iterable[int]) -> TrailDecomposition:
     One pass over `h.edges` checks the block, makes the first reservations
     and builds one adjacency of the leftover edges. That adjacency serves
     the leftover components, their odd vertices and every Euler walk, so
-    past one sort of its vertices the split takes time linear in the
-    block. Its rows hold (neighbour, edge index) pairs in edge order, which
-    is ascending neighbour order because `h.edges` is sorted.
+    past one sort of its vertices the split costs a constant per edge.
+    Its rows hold (neighbour, edge index) pairs in edge order, which is
+    ascending neighbour order because `h.edges` is sorted.
 
-    Raises InvalidTrails when the input is not a cross block: an edge
-    without exactly one deep endpoint, or a deep vertex with no incident
-    edge.
+    Raises InvalidTrails when the input is not a cross block: a deep
+    vertex that is not a plain int, an edge without exactly one deep
+    endpoint, or a deep vertex with no incident edge.
     """
-    deep_sorted = sorted(set(deep))
-    deep_set = set(deep_sorted)
+    deep_set = set(_int_list(deep, "deep vertex"))
+    deep_sorted = sorted(deep_set)
     edges = h.edges
     adj: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
     sigma: dict[int, int] = {}  # deep vertex -> index of its reserved edge
-    for eid, e in enumerate(edges):
-        u, v = e
+    for eid, (u, v) in enumerate(edges):
         if u in deep_set:
             if v in deep_set:
-                raise InvalidTrails(f"edge {e} does not join a deep vertex to a shallow one")
+                raise InvalidTrails(f"edge {(u, v)} does not join a deep vertex to a shallow one")
             if u not in sigma:
                 sigma[u] = eid
                 continue
         elif v not in deep_set:
-            raise InvalidTrails(f"edge {e} does not join a deep vertex to a shallow one")
+            raise InvalidTrails(f"edge {(u, v)} does not join a deep vertex to a shallow one")
         elif v not in sigma:
             sigma[v] = eid
             continue
@@ -156,9 +174,9 @@ def find_sigma_and_trails(h: Graph, deep: Iterable[int]) -> TrailDecomposition:
         raise InvalidTrails(f"deep vertex {v} has no incident cross edge")
 
     comp_of, comps = _leftover(adj)
-    if not all(odd for odd, _ in comps):
+    if not all(odd for odd, _, _ in comps):
         opened: set[int | None] = set()
-        for i, (odd, verts) in enumerate(comps):
+        for i, (odd, verts, _) in enumerate(comps):
             if odd or i in opened:
                 continue
             v = max(x for x in verts if x in deep_set)
@@ -177,7 +195,7 @@ def find_sigma_and_trails(h: Graph, deep: Iterable[int]) -> TrailDecomposition:
     dec = TrailDecomposition(
         cross=h,
         deep=tuple(deep_sorted),
-        sigma=tuple(zip(deep_sorted, [edges[sigma[v]] for v in deep_sorted])),
+        sigma=tuple(zip(deep_sorted, map(edges.__getitem__, map(sigma.__getitem__, deep_sorted)))),
         trails=tuple(_open_trails(adj, comps, len(edges), deep_set)),
     )
     dec.validate()
@@ -186,14 +204,14 @@ def find_sigma_and_trails(h: Graph, deep: Iterable[int]) -> TrailDecomposition:
 
 def _leftover(
     adj: dict[int, list[tuple[int, int]]],
-) -> tuple[dict[int, int], list[tuple[list[int], list[int]]]]:
+) -> tuple[dict[int, int], list[tuple[list[int], list[int], int]]]:
     """The connected components of an adjacency, in order of least vertex.
 
     Returns the component index of every vertex with an edge and, per
-    component, its odd-degree vertices ascending and all its vertices.
+    component, its odd vertices ascending, its vertices and degree sum.
     """
     comp_of: dict[int, int] = {}
-    comps: list[tuple[list[int], list[int]]] = []
+    comps: list[tuple[list[int], list[int], int]] = []
     for start in sorted(adj):
         if start in comp_of or not adj[start]:
             continue
@@ -201,8 +219,10 @@ def _leftover(
         comp_of[start] = c
         verts = [start]
         odd = []
+        ends = 0
         for w in verts:  # grows while it is walked: a breadth-first queue
             row = adj[w]
+            ends += len(row)
             if len(row) % 2:
                 odd.append(w)
             for x, _ in row:
@@ -210,28 +230,38 @@ def _leftover(
                     comp_of[x] = c
                     verts.append(x)
         odd.sort()
-        comps.append((odd, verts))
+        comps.append((odd, verts, ends))
     return comp_of, comps
 
 
 def _open_trails(
     adj: dict[int, list[tuple[int, int]]],
-    comps: list[tuple[list[int], list[int]]],
+    comps: list[tuple[list[int], list[int], int]],
     real: int,
     deep: set[int],
 ) -> list[Trail]:
     """Split each component into open trails ending at its odd vertices.
 
     `real` is the number of edges; every odd vertex list must be nonempty.
-    Virtual edges pair up each component's odd vertices, one closed walk
-    from the least of them takes every edge (Hierholzer, rows scanned in
-    order), and cutting it at the virtual edges, from the first one on,
+    A path (a tree with two odd vertices) is one trail, walked end to end
+    unless its breadth-first order, from an end, already is the walk. In
+    any other component virtual edges pair up the odd vertices, one closed
+    walk from the least of them takes every edge (Hierholzer, rows scanned
+    in order), and cutting it at the virtual edges, from the first one on,
     leaves the trails.
     """
     used = [False] * real
-    rest = {v: iter(row) for v, row in adj.items()}  # where each row scan resumes
     trails: list[Trail] = []
-    for odd, _ in comps:
+    for odd, verts, ends in comps:
+        if len(odd) == 2 and ends == 2 * len(verts) - 2:
+            walk = verts
+            if verts[0] != odd[0]:  # the search began inside the path
+                walk = [odd[0], adj[odd[0]][0][0]]
+                while walk[-1] != odd[1]:  # every vertex between the ends has two edges
+                    (x, _), (y, _) = adj[walk[-1]]
+                    walk.append(y if x == walk[-2] else x)
+            trails.append(_classify(walk, deep))
+            continue
         # virtual edges take the indices after the real ones, so each
         # sorts after a real edge to the same neighbour
         for j in range(0, len(odd), 2):
@@ -239,9 +269,10 @@ def _open_trails(
             insort(adj[a], (b, len(used)))
             insort(adj[b], (a, len(used)))
             used.append(False)
+        rest = {v: iter(adj[v]) for v in verts}  # where each row scan resumes
         stack = [odd[0]]
         entered = [-1]  # the edge each stacked vertex was reached by
-        walk: list[int] = []  # the closed walk, backwards
+        walk = []  # the closed walk, backwards
         cuts: list[int] = []  # where in it a virtual edge was taken
         while stack:
             for x, eid in rest[stack[-1]]:
@@ -275,13 +306,14 @@ def label_trails(dec: TrailDecomposition, labels: Sequence[int] | range) -> dict
     longest-first: the first of a pair starts high from its deep endpoint,
     the second starts low from its shallow endpoint, and a leftover N
     trail is labeled like a first. Returns the edge -> label mapping for
-    just the trail edges.
+    just the trail edges. Labels other than plain ints raise InvalidTrails.
     """
-    pool = list(labels)
-    if pool != sorted(pool) or (pool and pool != list(range(pool[0], pool[-1] + 1))):
+    # a range holds only ints, so only other sequences are scanned
+    pool = list(labels) if type(labels) is range else _int_list(labels, "label")
+    if pool and pool != list(range(pool[0], pool[-1] + 1)):
         raise InvalidTrails(f"labels must form an ascending run, got {pool}")
     trails = dec.trails
-    total = sum(len(vs) for vs, _ in trails) - len(trails)
+    total = sum(map(len, [vs for vs, _ in trails])) - len(trails)
     if total != len(pool):
         raise InvalidTrails(f"{len(pool)} labels for {total} trail edges")
     for vs, kind in trails:
@@ -291,31 +323,25 @@ def label_trails(dec: TrailDecomposition, labels: Sequence[int] | range) -> dict
         return {}
 
     deep = set(dec.deep)
-
-    def orient(t: Trail, start_deep: bool) -> Trail:
-        if (t.vertices[0] in deep) == start_deep:
-            return t
-        if (t.vertices[-1] in deep) == start_deep:
-            return t.reversed()
-        return t
-
-    # (trail, whether its first edge takes a high label), in labeling order
-    plan = [(t, False) for t in trails if t.kind == "W"]
-    plan += [(t, True) for t in trails if t.kind == "M"]
-    ns = sorted((t for t in trails if t.kind == "N"), key=lambda t: -len(t.vertices))
-    for j in range(0, len(ns) - 1, 2):
-        plan.append((orient(ns[j], start_deep=True), True))
-        plan.append((orient(ns[j + 1], start_deep=False), False))
-    if len(ns) % 2 == 1:
-        plan.append((orient(ns[-1], start_deep=True), True))
+    # (trail vertices, whether its first edge takes a high label), in
+    # labeling order; N trails go longest first (reverse=True keeps ties
+    # in order), each first of a pair high from its deep end, each second
+    # low from its shallow end
+    plan = [(vs, False) for vs, kind in trails if kind == "W"]
+    plan += [(vs, True) for vs, kind in trails if kind == "M"]
+    ns = sorted([vs for vs, kind in trails if kind == "N"], key=len, reverse=True)
+    for j, vs in enumerate(ns):
+        first = j % 2 == 0  # the first of a pair, or the one left over
+        if (vs[0] in deep) != first and (vs[-1] in deep) == first:
+            vs = tuple(reversed(vs))
+        plan.append((vs, first))
 
     s, l = pool[0], pool[-1]
     lo, hi = s, l  # the next label from each end of the block
     out: dict[Edge, int] = {}
-    labeled: list[tuple[Trail, list[Edge]]] = []
-    for t, high in plan:
-        es = t.edges()
-        for e in es:
+    for vs, high in plan:
+        for a, b in pairwise(vs):
+            e = (a, b) if a <= b else (b, a)
             if high:
                 out[e] = hi
                 hi -= 1
@@ -323,23 +349,22 @@ def label_trails(dec: TrailDecomposition, labels: Sequence[int] | range) -> dict
                 out[e] = lo
                 lo += 1
             high = not high
-        labeled.append((t, es))
     if (lo - s) + (l - hi) != len(pool):
         raise InvalidTrails("label block not fully consumed")
-    _check_pair_sums(labeled, deep, out, s, l)
+    _check_pair_sums([vs for vs, _ in plan if len(vs) > 2], deep, out, s, l)
     return out
 
 
 def _check_pair_sums(
-    labeled: list[tuple[Trail, list[Edge]]], deep: set[int], out: dict[Edge, int], s: int, l: int
+    trails: list[tuple[int, ...]], deep: set[int], out: dict[Edge, int], s: int, l: int
 ) -> None:
     # the whole construction leans on these sums; fail loudly if broken
-    for t, es in labeled:
-        for w, e, f in zip(t.vertices[1:], es, es[1:]):
-            pair = out[e] + out[f]
+    for vs in trails:
+        for a, w, b in zip(vs, vs[1:], vs[2:]):
+            pair = out[(a, w) if a <= w else (w, a)] + out[(w, b) if w <= b else (b, w)]
             if pair != s + l and pair != (s + l - 1 if w in deep else s + l + 1):
                 allowed = (s + l, s + l - 1) if w in deep else (s + l, s + l + 1)
                 raise InvalidTrails(
-                    f"internal vertex {w} of trail {t.vertices} sees pair sum "
+                    f"internal vertex {w} of trail {vs} sees pair sum "
                     f"{pair}, expected one of {allowed}"
                 )

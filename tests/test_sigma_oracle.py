@@ -13,11 +13,14 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Sequence
 
+import pytest
+
+from antimagic import constructors
 from antimagic.errors import InvalidTrails
 from antimagic.families import complete, complete_bipartite, cube, petersen
 from antimagic.graph import Edge, Graph, build_graph, level_partition
-from antimagic.trails import TrailDecomposition, _classify, find_sigma_and_trails
-from conftest import k32_blocks
+from antimagic.trails import TrailDecomposition, Trail, _classify, find_sigma_and_trails
+from conftest import disjoint_union, k32_blocks, k32_fan, pairing_regular
 from test_odd_degree_oracle import seed_layer_subgraphs
 
 # --- verbatim copy of the replaced search -----------------------------------
@@ -290,3 +293,92 @@ def test_same_decomposition_where_the_search_backtracks():
     for c in range(1, 5):
         dec = assert_same_decomposition(*k32_blocks(c))
         assert len(dec.sigma) == 2 * c
+
+
+# --- the split's shapes: large graphs, the repair at scale, paths by hand ------
+
+
+def construction_blocks(g: Graph, monkeypatch) -> list[tuple[Graph, list[int]]]:
+    """Every cross block, with its deep vertices, that construct_odd_degree splits."""
+    blocks = []
+    split = constructors.find_sigma_and_trails
+
+    def record(h, deep):
+        blocks.append((h, list(deep)))
+        return split(h, blocks[-1][1])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(constructors, "find_sigma_and_trails", record)
+        constructors.construct_odd_degree(g)
+    return blocks
+
+
+def test_same_decomposition_on_every_block_of_large_cubic_graphs(monkeypatch):
+    # nearly every leftover component here is a path of one to five edges
+    rng = random.Random(2018)
+    parts = [(2000, pairing_regular(2000, 3, rng)) for _ in range(8)]
+    graphs = [build_graph(*parts[0]), build_graph(*parts[1]), disjoint_union(parts, rng)]
+    for g in graphs:
+        blocks = construction_blocks(g, monkeypatch)
+        assert len(blocks) > 10
+        for h, deep in blocks:
+            assert_same_decomposition(h, deep)
+
+
+def test_the_repair_at_scale_matches_the_search_group_by_group():
+    # level 2 of the fan is 200 disjoint K(3,2) blocks, each stranding a
+    # 4-cycle at first choice; the search would backtrack through all of
+    # them at once, so each group is checked against it on its own
+    g = build_graph(*k32_fan(200))
+    p = level_partition(g, 0)
+    cross, deep = seed_layer_subgraphs(g, p, 2)[1], p.levels[2]
+    dec = find_sigma_and_trails(cross, deep)
+    sigma, trails = [], []
+    for j in range(200):
+        group = [e for e in cross.edges if e[1] in (4 + 5 * j, 5 + 5 * j)]
+        solo = seed_find_sigma_and_trails(build_graph(g.n, group), [4 + 5 * j, 5 + 5 * j])
+        sigma += solo.sigma
+        trails += solo.trails
+        assert dict(solo.sigma)[5 + 5 * j] != group[1]  # not its first edge: repaired
+    assert dec == (cross, tuple(deep), tuple(sigma), tuple(trails))
+
+
+# (edges, deep vertices, the trails expected), n one past the largest id
+PATH_BLOCKS = {
+    "single N edge, deep end larger": (
+        [(0, 5), (1, 5)], [5], [Trail((5, 1), "N")],
+    ),
+    "W path from its lesser end": (
+        [(0, 5), (1, 5), (3, 5)], [5], [Trail((1, 5, 3), "W")],
+    ),
+    "W path entered inside": (
+        [(0, 1), (1, 3), (1, 5)], [1], [Trail((3, 1, 5), "W")],
+    ),
+    "M path from its lesser end": (
+        [(0, 4), (0, 6), (4, 5), (5, 6)], [4, 6], [Trail((4, 5, 6), "M")],
+    ),
+    "M path entered inside": (
+        [(0, 4), (0, 6), (1, 4), (1, 6)], [4, 6], [Trail((4, 1, 6), "M")],
+    ),
+    "N path from its shallow end": (
+        [(0, 7), (0, 9), (2, 7), (7, 8), (8, 9)], [7, 9], [Trail((9, 8, 7, 2), "N")],
+    ),
+    "long path beside a star": (
+        [(0, 3), (3, 4), (3, 5), (3, 6), (0, 10), (0, 12), (0, 14),
+         (9, 10), (10, 11), (11, 12), (12, 13), (13, 14), (14, 15)],
+        [3, 10, 12, 14],
+        [Trail((3, 5), "N"), Trail((4, 3, 6), "W"), Trail((9, 10, 11, 12, 13, 14, 15), "W")],
+    ),
+    "long path entered inside": (
+        [(0, 1), (0, 20), (0, 22), (1, 21), (1, 23), (20, 21), (20, 25), (22, 23), (22, 24)],
+        [1, 20, 22],
+        [Trail((24, 22, 23, 1, 21, 20, 25), "W")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PATH_BLOCKS)
+def test_same_decomposition_on_hand_built_path_components(name):
+    edges, deep, trails = PATH_BLOCKS[name]
+    h = build_graph(1 + max(map(max, edges)), edges)
+    assert list(assert_same_decomposition(h, deep).trails) == trails

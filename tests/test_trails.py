@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -121,6 +122,50 @@ def test_label_block_must_match_and_be_contiguous():
         label_trails(dec, range(1, 4))
     with pytest.raises(InvalidTrails, match="labels must form an ascending run"):
         label_trails(dec, [4, 6])
+
+
+# a block whose leftover is the path 0-3-2 once 0 and 2 reserve (0, 1) and (1, 2)
+INT_BLOCK = build_graph(4, [(0, 1), (0, 3), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "deep, named",
+    [
+        ([0, 2.0], "deep vertex 2.0 is not an int"),  # equal to 2 and hashed alike
+        ([0, True], "deep vertex True is not an int"),
+        ([0, "a"], "deep vertex 'a' is not an int"),  # named before any sort meets it
+        (None, "expected ints, got None"),
+        (5, "expected ints, got 5"),
+    ],
+)
+def test_deep_vertices_must_be_plain_ints(deep, named):
+    with pytest.raises(InvalidTrails, match=re.escape(named)):
+        find_sigma_and_trails(INT_BLOCK, deep)
+
+
+def one_trail_edge():
+    """A decomposition whose one trail is the edge (0, 3)."""
+    return find_sigma_and_trails(build_graph(4, [(0, 1), (0, 3)]), [0])
+
+
+@pytest.mark.parametrize(
+    "labels, named",
+    [
+        ([True], "label True is not an int"),  # a bool, though True == 1
+        ([1.5], "label 1.5 is not an int"),
+        (["a"], "label 'a' is not an int"),
+        (None, "expected ints, got None"),
+    ],
+)
+def test_trail_labels_must_be_plain_ints(labels, named):
+    with pytest.raises(InvalidTrails, match=re.escape(named)):
+        label_trails(one_trail_edge(), labels)
+
+
+@pytest.mark.parametrize("labels", [range(7, 8), [7], (7,)])
+def test_trail_labels_may_be_any_sequence_of_ints(labels):
+    assert label_trails(one_trail_edge(), labels) == {(0, 3): 7}
+    assert dict(find_sigma_and_trails(INT_BLOCK, iter([2, 0])).sigma) == {0: (0, 1), 2: (1, 2)}
 
 
 def test_no_sigma_when_deep_vertex_has_no_cross_edge():
