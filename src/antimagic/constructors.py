@@ -1,10 +1,10 @@
 """Constructive labelings for families with known shifted spectra.
 
-Two general-purpose builders return same-degree-distinct-sum labelings,
-one for forests and one for graphs whose degrees are all odd; shifting
-such a labeling far enough makes every vertex sum distinct. Each checks
-its graph class and runs the one level construction, `_label_levels`;
-on a forest that construction finds no trails to label. The
+The level route `construct_sdds` labels a union of trees and all-odd
+components so same-degree sums differ; shifting such a labeling far
+enough makes every vertex sum distinct. The forest and odd-degree
+builders check their stricter classes and run the same construction,
+`_label_levels`, which finds no trails to label on a forest. The
 family-specific builders (paths, stars, double stars, copies of the
 three-vertex path, and a few small sporadic graphs) return a labeling
 for an exact shift k, or None when that shift is provably infeasible
@@ -40,17 +40,7 @@ def construct_forest_sdds(g: Graph) -> EdgeLabeling:
     `_label_levels` without trails: each vertex's parent edge takes the
     next label of its tree, in order of the sum on the edges below it.
     """
-    deg = g.degrees()
-    tree_of, trees = _component_vertices(g)
-    if g.m != g.n - len(trees) or min(map(len, trees), default=3) < 3:
-        for verts in trees:  # name the first faulty component
-            if len(verts) == 1:
-                raise WrongGraphClass(f"vertex {verts[0]} has no edges")
-            if len(verts) == 2:
-                raise WrongGraphClass(f"component {tuple(sorted(verts))} is a single edge")
-            if sum(deg[v] for v in verts) != 2 * (len(verts) - 1):
-                raise WrongGraphClass(f"component {tuple(sorted(verts))} contains a cycle")
-    return _label_levels(g, deg, tree_of, trees)
+    return _label_levels(g, False, g.degrees())
 
 
 def construct_odd_degree(g: Graph) -> EdgeLabeling:
@@ -59,17 +49,28 @@ def construct_odd_degree(g: Graph) -> EdgeLabeling:
     for v, d in enumerate(deg):
         if d % 2 == 0:
             raise WrongGraphClass(f"vertex {v} has even degree {d}")
-    comp_of, comps = _component_vertices(g)
-    for verts in comps:
-        if len(verts) == 2:
-            raise WrongGraphClass(f"component {tuple(sorted(verts))} is a single edge")
-    return _label_levels(g, deg, comp_of, comps)
+    return _label_levels(g, True, deg)  # `construct_sdds`, on the degrees at hand
 
 
-def _label_levels(
-    g: Graph, deg: list[int], comp_of: list[int], comps: list[list[int]]
-) -> EdgeLabeling:
-    """Label g by 1..m level by level, given its degrees and components.
+def construct_sdds(g: Graph) -> EdgeLabeling:
+    """Same-degree-distinct-sum labeling of a union of trees with three or
+    more vertices, components whose degrees are all odd and at most one
+    isolated vertex; WrongGraphClass names the first other component.
+
+    Within a component the labels depend only on it and where its block
+    starts, and the forest and odd-degree arguments hold at any start. A
+    tree's cross blocks are its parent edges with no trails, so it gets
+    exactly its forest-route labels. Any d labels from a lower block sum
+    below any d from a higher one, so same-degree sums in different
+    components never meet. One isolated vertex is alone in degree class 0.
+    """
+    return _label_levels(g, True, g.degrees())
+
+
+def _label_levels(g: Graph, mixed: bool, deg: list[int]) -> EdgeLabeling:
+    """Label g by 1..m level by level, given its degrees, once each
+    component is a tree with three or more vertices or, if `mixed`, all
+    odd or the one isolated vertex; WrongGraphClass names the first that fails.
 
     Components take consecutive label blocks in order of least vertex id.
     Each is layered breadth-first from its lowest-id vertex of maximum
@@ -82,6 +83,20 @@ def _label_levels(
     edge up is its parent edge, so no blocks or trails are built. The run
     is linear in the graph apart from the sorts.
     """
+    comp_of, comps = _component_vertices(g)
+    forest = g.m == g.n - len(comps)
+    if min(map(len, comps), default=3) < 3 or not (forest or mixed and all(d % 2 for d in deg)):
+        lone = 0  # isolated vertices so far
+        for verts in comps:  # name the first faulty component
+            lone += len(verts) == 1
+            if len(verts) == 1 and (lone > 1 or not mixed):
+                raise WrongGraphClass(f"vertex {verts[0]} has no edges")
+            if len(verts) == 2:
+                raise WrongGraphClass(f"component {tuple(sorted(verts))} is a single edge")
+            cyclic = sum(deg[v] for v in verts) >= 2 * len(verts)
+            if cyclic and not (mixed and all(deg[v] % 2 for v in verts)):
+                why = " and an even degree" if mixed else ""
+                raise WrongGraphClass(f"component {tuple(sorted(verts))} contains a cycle{why}")
     roots, top = [0] * len(comps), [-1] * len(comps)
     for v, c in enumerate(comp_of):
         if deg[v] > top[c]:
@@ -90,7 +105,6 @@ def _label_levels(
     # levels[d]: every component's depth-d vertices, component by component;
     # above[v]: far end of v's reserved edge up, its parent unless sigma picks another
     levels, above = _breadth_first(g, roots)
-    forest = g.m == g.n - len(comps)
     if not forest:
         depth = [0] * g.n
         # per component, at 2d the edges within depth d, at 2d - 1 those up from it

@@ -44,8 +44,9 @@ class InvalidLabeling(AntimagicError):
 
 class WrongGraphClass(AntimagicError):
     """A construction was given a graph outside its class: a cycle where a
-    forest is needed, a single-edge component, isolated vertices, or an
-    even degree where every degree must be odd."""
+    tree (or, in `construct_sdds`, an all-odd component) is needed, a
+    single-edge component, isolated vertices (`construct_sdds` allows one),
+    or an even degree where every degree must be odd."""
 
 
 class InvalidTrails(AntimagicError):

@@ -306,8 +306,11 @@ def mirror(upper: Callable[[int], EdgeLabeling | None], m: int, k: int) -> EdgeL
 
 
 def sdds_shift_threshold(g: Graph) -> int:
-    """Smallest shift guaranteed to turn same-degree-distinct sums into
-    all-distinct sums: (m - 1) * (max degree - 1)."""
+    """Smallest shift guaranteed to turn same-degree-distinct sums S into
+    all-distinct sums: h = (m - 1)(max degree - 1). A shift by k adds k*d
+    to a degree-d sum, and if d_u > d_v, then S_v - S_u <= d_v(m - d_v - 1)
+    - 1 < h, so every k >= h lifts; the window [-(h+m+1), h] still sweeps
+    both of its liftable ends."""
     if g.m == 0:
         raise BadParameters("threshold undefined for a graph with no edges")
     return (g.m - 1) * (g.max_degree() - 1)

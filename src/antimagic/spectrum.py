@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import accumulate, chain
 from operator import eq
 
-from .constructors import ALL_SHIFTS, FAMILIES, construct_forest_sdds, construct_odd_degree
+from .constructors import ALL_SHIFTS, FAMILIES, construct_sdds
 from .errors import BadParameters, BudgetExceeded, NoSddsFound, WrongGraphClass, require_int
 from .graph import Graph
 from .labeling import EdgeLabeling, mirror, sdds_shift_threshold, shift_labeling
@@ -384,10 +384,10 @@ def finite_window(g: Graph, budget: int = DEFAULT_BUDGET) -> WindowResult:
     """Bound the undecided shift range for a graph, with a certificate.
 
     A degree-ordered labeling leaves only [-m, -1] open. Otherwise a
-    same-degree-distinct labeling (built for forests and all-odd-degree
-    graphs, searched for anything else within budget) leaves
-    [-(h+m+1), h] open where h is the shift threshold. Raises NoSddsFound
-    when no such certificate exists at all.
+    same-degree-distinct labeling (`construct_sdds` for unions of trees
+    and all-odd components with at most one isolated vertex, searched for
+    anything else within budget) leaves [-(h+m+1), h] open where h is the
+    shift threshold. Raises NoSddsFound when no such certificate exists.
     """
     require_int("budget", budget)
     # the first two checks read only the edge endpoints, so a huge vertex
@@ -404,12 +404,8 @@ def finite_window(g: Graph, budget: int = DEFAULT_BUDGET) -> WindowResult:
         if cert is not None:
             return WindowResult(-g.m, -1, "strong", cert)
     try:
-        cert = construct_forest_sdds(g)
+        cert = construct_sdds(g)
     except WrongGraphClass:
-        cert = None
-    if cert is None and all(d % 2 == 1 for d in g.degrees()):
-        cert = construct_odd_degree(g)
-    if cert is None:
         cert = search_sdds(g, budget)
     if cert is None:
         raise NoSddsFound("no same-degree-distinct-sum labeling exists")

@@ -59,18 +59,23 @@ class TrailDecomposition(namedtuple("TrailDecomposition", "cross deep sigma trai
     def validate(self) -> None:
         """Raise InvalidTrails unless every structural invariant holds."""
         deep = set(self.deep)
-        keys = [v for v, _ in self.sigma]
-        sigma_edges = [e for _, e in self.sigma]
+        try:  # an entry that is no (vertex, edge) pair fails to unpack, to hold v or to hash
+            keys = [v for v, _ in self.sigma]
+            sigma_edges = [e for _, e in self.sigma]
+            incident = all(map(contains, sigma_edges, keys))
+            distinct = set(sigma_edges)
+        except (TypeError, ValueError):
+            bad = reprlib.repr(self.sigma)
+            raise InvalidTrails(f"sigma must hold (vertex, edge) pairs, got {bad}") from None
         # keys listing the distinct deep vertices in order need no set of their own
         listed = keys == list(self.deep) and len(keys) == len(deep)
         # one pass over all pairs accepts; the scan names the first fault
-        if not (all(map(contains, sigma_edges, keys)) and (listed or deep.issuperset(keys))):
+        if not (incident and (listed or deep.issuperset(keys))):
             for v, e in self.sigma:
                 if v not in e:
                     raise InvalidTrails(f"sigma edge {e} is not incident to vertex {v}")
                 if v not in deep:
                     raise InvalidTrails(f"sigma key {v} is not a deep-side vertex")
-        distinct = set(sigma_edges)
         if len(distinct) != len(sigma_edges):
             raise InvalidTrails("sigma is not injective")
         if not (listed or len(keys) == len(deep) == len(set(keys))):  # keys lie in deep
@@ -78,6 +83,8 @@ class TrailDecomposition(namedtuple("TrailDecomposition", "cross deep sigma trai
 
         ends: list[int] = []
         for vs, kind in self.trails:
+            if type(vs) is not tuple and type(vs) is not list:
+                raise InvalidTrails(f"trail vertices {reprlib.repr(vs)} are not a tuple or a list")
             if len(vs) < 2:
                 raise InvalidTrails("trail with no edges")
             first, last = vs[0], vs[-1]
@@ -313,7 +320,10 @@ def label_trails(dec: TrailDecomposition, labels: Sequence[int] | range) -> dict
     if pool and pool != list(range(pool[0], pool[-1] + 1)):
         raise InvalidTrails(f"labels must form an ascending run, got {pool}")
     trails = dec.trails
-    total = sum(map(len, [vs for vs, _ in trails])) - len(trails)
+    seqs = [vs for vs, _ in trails]
+    if not all(type(vs) is tuple or type(vs) is list for vs in seqs):
+        raise InvalidTrails(f"trail vertices must be a tuple or a list, got {reprlib.repr(trails)}")
+    total = sum(map(len, seqs)) - len(trails)
     if total != len(pool):
         raise InvalidTrails(f"{len(pool)} labels for {total} trail edges")
     for vs, kind in trails:

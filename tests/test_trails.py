@@ -283,3 +283,20 @@ def test_odd_degree_graphs_always_get_a_sigma(g):
         for depth in range(1, p.d + 1):
             _, cross = seed_layer_subgraphs(g, p, depth)
             find_sigma_and_trails(cross, p.levels[depth]).validate()
+
+
+@pytest.mark.parametrize("sigma", [((0, (0, 1), 5),), (0,)])
+def test_sigma_entries_must_be_vertex_edge_pairs(sigma):
+    dec = TrailDecomposition(cross=build_graph(2, [(0, 1)]), deep=(0,), sigma=sigma, trails=())
+    with pytest.raises(InvalidTrails, match=r"sigma must hold \(vertex, edge\) pairs"):
+        dec.validate()
+
+
+def test_trail_vertices_must_be_a_sequence():
+    dec = TrailDecomposition(
+        cross=build_graph(2, [(0, 1)]), deep=(0,), sigma=(), trails=(Trail(5, "N"),)
+    )
+    with pytest.raises(InvalidTrails, match="trail vertices must be a tuple or a list"):
+        label_trails(dec, range(1, 2))
+    with pytest.raises(InvalidTrails, match="trail vertices 5 are not a tuple or a list"):
+        dec._replace(deep=()).validate()
