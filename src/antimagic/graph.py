@@ -96,10 +96,6 @@ class Graph(namedtuple("Graph", "n edges")):
     def _degrees(self) -> list[int]:
         return [len(row) for row in self._adjacency]
 
-    def degree(self, v: int) -> int:
-        # a non-vertex touches no edge
-        return self._degrees[v] if 0 <= v < self.n else 0
-
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
 

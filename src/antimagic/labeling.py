@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 import reprlib
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import repeat
 from operator import add, mul
 
 from .errors import BadParameters, InvalidLabeling, require_int
-from .graph import Edge, Graph
+from .graph import Graph
 
 
 class EdgeLabeling(namedtuple("EdgeLabeling", "graph labels base")):
@@ -48,23 +48,6 @@ class EdgeLabeling(namedtuple("EdgeLabeling", "graph labels base")):
     def _make(cls, iterable) -> EdgeLabeling:
         # `_replace` builds through `_make`; both keep the format check
         return cls(*iterable)
-
-    @classmethod
-    def from_dict(
-        cls, graph: Graph, mapping: Mapping[Edge, int], base: int | None = None
-    ) -> EdgeLabeling:
-        """Build a labeling from an edge -> label mapping covering every edge."""
-        if not isinstance(mapping, Mapping):
-            raise InvalidLabeling(f"labels must be a mapping, got {reprlib.repr(mapping)}")
-        labels = []
-        for e in graph.edges:
-            if e not in mapping:
-                raise InvalidLabeling(f"edge {e} has no label")
-            labels.append(mapping[e])
-        return cls(graph, tuple(labels), base)
-
-    def as_dict(self) -> dict[Edge, int]:
-        return dict(zip(self.graph.edges, self.labels))
 
 
 def _plain_ints(values) -> bool:

@@ -34,17 +34,6 @@ class Trail(namedtuple("Trail", "vertices kind")):
 
     __slots__ = ()
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.vertices) - 1
-
-    def edges(self) -> list[Edge]:
-        vs = self.vertices
-        return [(a, b) if a <= b else (b, a) for a, b in zip(vs, vs[1:])]
-
-    def reversed(self) -> Trail:
-        return Trail(tuple(reversed(self.vertices)), self.kind)
-
 
 class TrailDecomposition(namedtuple("TrailDecomposition", "cross deep sigma trails")):
     """A sigma choice plus open trails covering the rest of a cross block.
@@ -82,7 +71,7 @@ class TrailDecomposition(namedtuple("TrailDecomposition", "cross deep sigma trai
             raise InvalidTrails("sigma must choose exactly one edge per deep vertex")
 
         ends: list[int] = []
-        for vs, kind in self.trails:
+        for vs, kind in map(_pair, self.trails):
             if type(vs) is not tuple and type(vs) is not list:
                 raise InvalidTrails(f"trail vertices {reprlib.repr(vs)} are not a tuple or a list")
             if len(vs) < 2:
@@ -102,6 +91,15 @@ class TrailDecomposition(namedtuple("TrailDecomposition", "cross deep sigma trai
             raise InvalidTrails("an edge is covered twice")
         if distinct != set(self.cross.edges):
             raise InvalidTrails("sigma plus trails do not partition the cross edges")
+
+
+def _pair(entry: Trail) -> tuple:
+    """A trails entry as (vertices, kind); InvalidTrails unless it unpacks so."""
+    try:
+        vs, kind = entry
+    except (TypeError, ValueError):
+        raise InvalidTrails(f"trail entry {reprlib.repr(entry)} is not a (vertices, kind) pair") from None
+    return vs, kind
 
 
 def _int_list(values: Iterable[int], what: str) -> list[int]:
@@ -319,10 +317,10 @@ def label_trails(dec: TrailDecomposition, labels: Sequence[int] | range) -> dict
     pool = list(labels) if type(labels) is range else _int_list(labels, "label")
     if pool and pool != list(range(pool[0], pool[-1] + 1)):
         raise InvalidTrails(f"labels must form an ascending run, got {pool}")
-    trails = dec.trails
+    trails = list(map(_pair, dec.trails))
     seqs = [vs for vs, _ in trails]
     if not all(type(vs) is tuple or type(vs) is list for vs in seqs):
-        raise InvalidTrails(f"trail vertices must be a tuple or a list, got {reprlib.repr(trails)}")
+        raise InvalidTrails(f"trail vertices must be a tuple or a list, got {reprlib.repr(dec.trails)}")
     total = sum(map(len, seqs)) - len(trails)
     if total != len(pool):
         raise InvalidTrails(f"{len(pool)} labels for {total} trail edges")

@@ -47,7 +47,8 @@ def test_round_trip_preserves_labels_and_shift():
     assert doc["vertex_sums"] == [-1, -3, -2, 1, 4, 7, 6, 2]
     f, k = certificate_to_labeling(doc)
     assert k == -3
-    assert f.as_dict() == construct_path_shifted(8, -3).as_dict()
+    expected = construct_path_shifted(8, -3)
+    assert (f.graph, f.labels) == (expected.graph, expected.labels)
 
 
 def test_round_trip_survives_json_text():
@@ -123,7 +124,8 @@ def test_huge_vertex_count_is_rejected_from_the_edges(
 
 
 # --- the one-pass checks against verbatim copies of the code they replaced --
-# (only their exception classes renamed to the ones that replaced them)
+# (only their exception classes renamed to the ones that replaced them, and
+# the edge -> label mapping read off in canonical edge order)
 
 
 def seed_leading_sums(f, count):
@@ -241,7 +243,7 @@ def seed_certificate_to_labeling(doc):
     try:
         g = seed_build_graph(n, [tuple(e) for e in edges])
         mapping = {canonical_edge(u, v): lab for (u, v), lab in zip(edges, labels)}
-        f = EdgeLabeling.from_dict(g, mapping, base=k)
+        f = EdgeLabeling(g, tuple(mapping[e] for e in g.edges), base=k)
     except CertificateError:
         raise
     except AntimagicError as exc:

@@ -22,7 +22,8 @@ from antimagic.labeling import EdgeLabeling, negate_labeling, shift_labeling
 from antimagic.spectrum import decide
 
 # --- verbatim copies of the replaced constructors ----------------------------
-# (only their exception classes renamed to the ones that replaced them)
+# (only their exception classes renamed to the ones that replaced them, and
+# their edge -> label mappings read off in canonical edge order)
 
 
 def construct_path_shifted(n: int, k: int) -> EdgeLabeling:
@@ -141,7 +142,7 @@ def construct_double_star(a: int, b: int, k: int) -> EdgeLabeling | None:
         mapping[(0, 2 + i)] = lab
     for i, lab in enumerate(u_list):
         mapping[(1, a + 2 + i)] = lab
-    return EdgeLabeling.from_dict(g, mapping, base=k)
+    return EdgeLabeling(g, tuple(mapping[e] for e in g.edges), base=k)
 
 
 def construct_two_p4(k: int) -> EdgeLabeling | None:
@@ -207,7 +208,8 @@ def construct_cp3(c: int, k: int) -> EdgeLabeling:
     for i, (small, large) in enumerate(_cp3_pairs(c)):
         mapping[(3 * i, 3 * i + 1)] = small + t
         mapping[(3 * i + 1, 3 * i + 2)] = large + t
-    return EdgeLabeling.from_dict(cp3(c), mapping, base=k)
+    g = cp3(c)
+    return EdgeLabeling(g, tuple(mapping[e] for e in g.edges), base=k)
 
 
 def cli_cp3(c: int, k: int) -> EdgeLabeling | None:

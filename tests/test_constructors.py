@@ -54,7 +54,7 @@ from conftest import random_tree
 
 def test_forest_path5_golden():
     f = construct_forest_sdds(path(5))
-    assert f.as_dict() == {(0, 1): 3, (1, 2): 4, (2, 3): 2, (3, 4): 1}
+    assert dict(zip(f.graph.edges, f.labels)) == {(0, 1): 3, (1, 2): 4, (2, 3): 2, (3, 4): 1}
     assert vertex_sums(f) == (3, 7, 6, 3, 1)
     assert is_sdds(f)
 
@@ -62,7 +62,7 @@ def test_forest_path5_golden():
 def test_forest_two_components_get_ascending_blocks():
     g = build_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (4, 6)])
     f = construct_forest_sdds(g)
-    labels = f.as_dict()
+    labels = dict(zip(f.graph.edges, f.labels))
     first = {labels[(0, 1)], labels[(1, 2)]}
     second = {labels[(3, 4)], labels[(4, 5)], labels[(4, 6)]}
     assert first == {1, 2}
@@ -92,7 +92,7 @@ def test_forest_rejections():
 
 def test_odd_k4_golden():
     f = construct_odd_degree(complete(4))
-    assert f.as_dict() == {
+    assert dict(zip(f.graph.edges, f.labels)) == {
         (0, 1): 4, (0, 2): 5, (0, 3): 6, (1, 2): 1, (1, 3): 2, (2, 3): 3
     }
     assert vertex_sums(f) == (15, 7, 9, 11)
@@ -101,7 +101,7 @@ def test_odd_k4_golden():
 
 def test_odd_k33_golden():
     f = construct_odd_degree(complete_bipartite(3, 3))
-    assert f.as_dict() == {
+    assert dict(zip(f.graph.edges, f.labels)) == {
         (0, 3): 7, (0, 4): 9, (0, 5): 8,
         (1, 3): 5, (1, 4): 3, (1, 5): 2,
         (2, 3): 1, (2, 4): 6, (2, 5): 4,
@@ -208,7 +208,7 @@ def test_star_rejects_trivial_sizes():
 
 def test_double_star_golden():
     f = construct_double_star(3, 2, 0)
-    assert f.as_dict() == {
+    assert dict(zip(f.graph.edges, f.labels)) == {
         (0, 1): 6, (0, 2): 5, (0, 3): 3, (0, 4): 1, (1, 5): 4, (1, 6): 2
     }
     assert vertex_sums(f) == (15, 12, 5, 3, 1, 4, 2)
@@ -241,12 +241,13 @@ def test_double_star_argument_order_is_symmetric():
 
 def test_cp3_goldens():
     f = construct_cp3(3, 1)
-    assert f.as_dict() == {
+    assert dict(zip(f.graph.edges, f.labels)) == {
         (0, 1): 2, (1, 2): 6, (3, 4): 4, (4, 5): 5, (6, 7): 3, (7, 8): 7
     }
     assert vertex_sums(f) == (2, 8, 6, 4, 9, 5, 3, 10, 7)
 
-    assert construct_cp3(2, 1).as_dict() == {
+    f = construct_cp3(2, 1)
+    assert dict(zip(f.graph.edges, f.labels)) == {
         (0, 1): 2, (1, 2): 4, (3, 4): 3, (4, 5): 5
     }
     assert construct_cp3(1, 0).labels == (1, 2)

@@ -202,14 +202,6 @@ def test_a_labeling_keeps_a_copy_of_a_list_of_labels():
     assert f.labels == (1, 3, 2) and verify_shifted(f, 0)
 
 
-def test_a_labeling_from_a_mapping_refuses_values_that_are_not_ints():
-    g = path(4)
-    with pytest.raises(InvalidLabeling, match=r"^label 2\.5 on edge \(1, 2\) is not an int$"):
-        EdgeLabeling.from_dict(g, {(0, 1): 1, (1, 2): 2.5, (2, 3): 3})
-    with pytest.raises(InvalidLabeling, match="^labels must be a mapping, got None$"):
-        EdgeLabeling.from_dict(g, None)
-
-
 @pytest.mark.parametrize(
     "field, message",
     [
@@ -290,9 +282,6 @@ CALLS = {
     "canonical_edge v": lambda x: canonical_edge(3, x),
     "EdgeLabeling label": lambda x: EdgeLabeling(P6.graph, (x,) + P6.labels[1:]),
     "EdgeLabeling base": lambda x: EdgeLabeling(P6.graph, P6.labels, x),
-    "EdgeLabeling.from_dict value": lambda x: EdgeLabeling.from_dict(
-        P6.graph, {**P6.as_dict(), (2, 3): x}
-    ),
     "EdgeLabeling._replace labels": lambda x: P6._replace(labels=P6.labels[:-1] + (x,)),
     "verify_shifted k": lambda x: verify_shifted(P6, x),
     "check_certificate n": lambda x: check_certificate({**P6_DOC, "n": x}),
@@ -352,7 +341,6 @@ def test_every_public_name_that_takes_an_int_is_in_the_contract():
 @example("canonical_edge u", None)
 @example("EdgeLabeling label", None)
 @example("EdgeLabeling label", "a")
-@example("EdgeLabeling.from_dict value", 2.5)
 def test_a_value_that_is_not_an_int_raises_an_antimagic_error(name, value):
     assume(value is not None or name not in NONE_IS_DEFAULT)
     with pytest.raises(AntimagicError):

@@ -44,8 +44,9 @@ from antimagic.trails import Trail, TrailDecomposition, find_sigma_and_trails, l
 from conftest import disjoint_union, k32_blocks, k32_fan, pairing_regular
 
 # --- verbatim copy of the replaced path --------------------------------------
-# (each name prefixed with seed_, and TrailDecomposition.validate written as
-# a function of the decomposition)
+# (each name prefixed with seed_, TrailDecomposition.validate written as a
+# function of the decomposition, and the Trail record's edge count, edge list
+# and reversal spelled out on its vertices)
 
 
 def seed_validate(self: TrailDecomposition) -> None:
@@ -273,11 +274,11 @@ def seed_label_trails(dec: TrailDecomposition, labels: Sequence[int] | range) ->
     pool = list(labels)
     if pool != sorted(pool) or (pool and pool != list(range(pool[0], pool[-1] + 1))):
         raise InvalidTrails(f"labels must form an ascending run, got {pool}")
-    total = sum(t.edge_count for t in dec.trails)
+    total = sum(len(t.vertices) - 1 for t in dec.trails)
     if total != len(pool):
         raise InvalidTrails(f"{len(pool)} labels for {total} trail edges")
     for t in dec.trails:
-        if t.kind in ("W", "M") and t.edge_count % 2 == 1:
+        if t.kind in ("W", "M") and (len(t.vertices) - 1) % 2 == 1:
             raise InvalidTrails(f"{t.kind} trail {t.vertices} has odd length")
     if not pool:
         return {}
@@ -292,12 +293,14 @@ def seed_label_trails(dec: TrailDecomposition, labels: Sequence[int] | range) ->
         if (t.vertices[0] in deep) == start_deep:
             return t
         if (t.vertices[-1] in deep) == start_deep:
-            return t.reversed()
+            return Trail(tuple(reversed(t.vertices)), t.kind)
         return t
 
     def assign(t: Trail, start_high: bool) -> None:
         nonlocal lo_used, hi_used
-        for j, e in enumerate(t.edges()):
+        vs = t.vertices
+        es = [(a, b) if a <= b else (b, a) for a, b in zip(vs, vs[1:])]
+        for j, e in enumerate(es):
             if start_high == (j % 2 == 0):
                 out[e] = l - hi_used
                 hi_used += 1
@@ -309,7 +312,7 @@ def seed_label_trails(dec: TrailDecomposition, labels: Sequence[int] | range) ->
     ms = [t for t in dec.trails if t.kind == "M"]
     ns = sorted(
         (t for t in dec.trails if t.kind == "N"),
-        key=lambda t: -t.edge_count,
+        key=lambda t: -(len(t.vertices) - 1),
     )
     labeled: list[Trail] = []
     for t in ws:
@@ -340,8 +343,8 @@ def seed_check_pair_sums(
 ) -> None:
     # the whole construction leans on these sums; fail loudly if broken
     for t in trails:
-        es = t.edges()
         vs = t.vertices
+        es = [(a, b) if a <= b else (b, a) for a, b in zip(vs, vs[1:])]
         for j in range(len(es) - 1):
             w = vs[j + 1]
             pair = out[es[j]] + out[es[j + 1]]
@@ -451,7 +454,7 @@ def seed_construct_odd_degree(g: Graph) -> EdgeLabeling:
                 labels[e] = nxt
                 nxt += 1
             dec = seed_find_sigma_and_trails(cross, p.levels[depth])
-            block = sum(t.edge_count for t in dec.trails)
+            block = sum(len(t.vertices) - 1 for t in dec.trails)
             labels.update(seed_label_trails(dec, range(nxt, nxt + block)))
             nxt += block
             ranked = sorted(
@@ -605,7 +608,7 @@ def test_same_decomposition_or_rejection_on_random_blocks(make):
         h, deep = make(rng)
         dec = same_outcome(find_sigma_and_trails, seed_find_sigma_and_trails, h, deep)
         if dec is not None:
-            block = range(1, 1 + sum(t.edge_count for t in dec.trails))
+            block = range(1, 1 + sum(len(t.vertices) - 1 for t in dec.trails))
             same_outcome(label_trails, seed_label_trails, dec, block)
 
 

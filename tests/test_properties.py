@@ -88,7 +88,7 @@ def test_shift_moves_each_sum_by_degree_times_t(g, k, t):
     before = vertex_sums(f)
     after = vertex_sums(shift_labeling(f, t))
     for v in range(g.n):
-        assert after[v] == before[v] + t * g.degree(v)
+        assert after[v] == before[v] + t * g.degrees()[v]
 
 
 @given(graphs(min_n=2, min_m=1), st.integers(-12, 12), st.integers(0, 2**32 - 1))

@@ -31,14 +31,6 @@ def cross_block(g, depth):
     return cross, p.levels[depth]
 
 
-def test_trail_basics():
-    t = Trail((3, 2, 5, 1, 4), "W")
-    assert t.edge_count == 4
-    assert t.edges() == [(2, 3), (2, 5), (1, 5), (1, 4)]
-    assert t.reversed().vertices == (4, 1, 5, 2, 3)
-    assert t.reversed().kind == "W"
-
-
 def test_k4_sigma_is_forced_with_no_trails():
     cross, deep = cross_block(complete(4), 1)
     dec = find_sigma_and_trails(cross, deep)
@@ -211,7 +203,7 @@ def test_arbitrary_blocks_are_labeled_or_rejected_with_no_valid_sigma():
             assert "does not join" in str(exc) or "no incident cross edge" in str(exc)
             continue
         assert all(sum(1 for v in e if v in dec.deep) == 1 for e in h.edges)
-        label_trails(dec, range(1, 1 + sum(t.edge_count for t in dec.trails)))
+        label_trails(dec, range(1, 1 + sum(len(t.vertices) - 1 for t in dec.trails)))
 
 
 def test_validate_rejects_broken_decompositions():
@@ -290,6 +282,17 @@ def test_sigma_entries_must_be_vertex_edge_pairs(sigma):
     dec = TrailDecomposition(cross=build_graph(2, [(0, 1)]), deep=(0,), sigma=sigma, trails=())
     with pytest.raises(InvalidTrails, match=r"sigma must hold \(vertex, edge\) pairs"):
         dec.validate()
+
+
+@pytest.mark.parametrize("entry", [5, (5,), ((0, 1), "N", 5), None])
+def test_trail_entries_must_be_vertices_kind_pairs(entry):
+    # each once raised a bare TypeError or ValueError from unpacking the entry
+    dec = TrailDecomposition(build_graph(2, [(0, 1)]), (), (), (entry,))
+    named = f"trail entry {entry!r} is not a (vertices, kind) pair"
+    with pytest.raises(InvalidTrails, match=re.escape(named)):
+        dec.validate()
+    with pytest.raises(InvalidTrails, match=re.escape(named)):
+        label_trails(dec, range(1, 2))
 
 
 def test_trail_vertices_must_be_a_sequence():
