@@ -3,7 +3,9 @@
 Subcommands: construct (build a k-shifted labeling), verify (re-check a
 certificate), decide (exhaustive small-graph search), spectrum (sweep a
 shift range), threshold-p3 (component count that absorbs a given edge
-budget). JSON goes to stdout, a one-line human summary to stderr.
+budget). Each command returns its JSON document, a one-line summary and
+its exit code; `main` writes the document to stdout or --out, then the
+summary to stderr.
 
 Exit codes: 0 for success/feasible/valid, 2 for infeasible/invalid,
 1 for usage, input, or budget problems.
@@ -146,26 +148,23 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, tuple[str, dict] | Non
     return _build_family(args)
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
+def _infeasible(args: argparse.Namespace, g: Graph, note: str) -> tuple[dict, str, int]:
+    return {"feasible": False, "k": args.k, "n": g.n, "m": g.m}, note, EXIT_REJECT
+
+
+def _cmd_construct(args: argparse.Namespace) -> tuple[dict, str, int]:
     g, desc = _load_graph(args)
     f = labeling_at(g, args.k, args.budget, desc)
     if f is None:
-        _emit({"feasible": False, "k": args.k, "n": g.n, "m": g.m}, args.out)
-        print(f"infeasible: no {args.k}-shifted labeling exists", file=sys.stderr)
-        return EXIT_REJECT
+        return _infeasible(args, g, f"infeasible: no {args.k}-shifted labeling exists")
     doc = labeling_to_certificate(f, args.k)
     if not doc["valid"]:
-        raise AntimagicError(
-            "internal error: constructed labeling failed verification"
-        )
-    m = g.m
-    del g, f  # the document holds every edge again: free the graph before the emit
-    _emit(doc, args.out)
-    print(f"feasible: labels {args.k + 1}..{args.k + m} placed on {m} edges", file=sys.stderr)
-    return EXIT_OK
+        raise AntimagicError("internal error: constructed labeling failed verification")
+    # the document holds every edge again; returning frees the graph before the write
+    return doc, f"feasible: labels {args.k + 1}..{args.k + g.m} placed on {g.m} edges", EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict, str, int]:
     try:
         doc = json.loads(_read_text(args.certificate))
     except json.JSONDecodeError as exc:
@@ -182,24 +181,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "witness": list(verdict.witness) if verdict.witness is not None else None,
         "detail": verdict.detail,
     }
-    _emit(out, args.out)
     if verdict:
-        print(f"valid certificate (n={f.graph.n}, m={f.graph.m}, k={k})", file=sys.stderr)
-        return EXIT_OK
-    print(f"invalid certificate: {verdict.code}: {verdict.detail}", file=sys.stderr)
-    return EXIT_REJECT
+        return out, f"valid certificate (n={f.graph.n}, m={f.graph.m}, k={k})", EXIT_OK
+    return out, f"invalid certificate: {verdict.code}: {verdict.detail}", EXIT_REJECT
 
 
-def _cmd_decide(args: argparse.Namespace) -> int:
+def _cmd_decide(args: argparse.Namespace) -> tuple[dict, str, int]:
     g, _ = _load_graph(args)
     f = decide(g, args.k, args.budget)
     if f is None:
-        _emit({"feasible": False, "k": args.k, "n": g.n, "m": g.m}, args.out)
-        print(f"infeasible: exhaustive search rules out k={args.k}", file=sys.stderr)
-        return EXIT_REJECT
-    _emit(labeling_to_certificate(f, args.k), args.out)
-    print(f"feasible: found a {args.k}-shifted labeling", file=sys.stderr)
-    return EXIT_OK
+        return _infeasible(args, g, f"infeasible: exhaustive search rules out k={args.k}")
+    return labeling_to_certificate(f, args.k), f"feasible: found a {args.k}-shifted labeling", EXIT_OK
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -213,35 +205,22 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, str, int]:
     g, desc = _load_graph(args)
     override = _parse_window(args.window) if args.window else None
     report = spectrum(g, window=override, budget=args.budget, family=desc)
-    _emit(report.to_dict(), args.out)
     if report.excluded == ALL_SHIFTS:
-        print("every shift is infeasible for this graph", file=sys.stderr)
-        return EXIT_OK
-    window_note = (
-        "no provable window"
-        if report.window is None
-        else f"window [{report.window.lo}, {report.window.hi}] via {report.window.method}"
-    )
-    print(
-        f"{window_note}; swept {report.sweep_lo}..{report.sweep_hi}; "
-        f"excluded shifts: {list(report.excluded)}",
-        file=sys.stderr,
-    )
-    return EXIT_OK
+        return report.to_dict(), "every shift is infeasible for this graph", EXIT_OK
+    w = report.window
+    note = "no provable window" if w is None else f"window [{w.lo}, {w.hi}] via {w.method}"
+    note += f"; swept {report.sweep_lo}..{report.sweep_hi}; excluded shifts: {list(report.excluded)}"
+    return report.to_dict(), note, EXIT_OK
 
 
-def _cmd_threshold(args: argparse.Namespace) -> int:
+def _cmd_threshold(args: argparse.Namespace) -> tuple[dict, str, int]:
     value = p3_threshold(args.edges)
-    _emit({"edges": args.edges, "threshold": value}, args.out)
-    print(
-        f"unions with at least {value} three-vertex paths absorb {args.edges} edges",
-        file=sys.stderr,
-    )
-    return EXIT_OK
+    note = f"unions with at least {value} three-vertex paths absorb {args.edges} edges"
+    return {"edges": args.edges, "threshold": value}, note, EXIT_OK
 
 
 def _add_graph_arguments(p: argparse.ArgumentParser) -> None:
@@ -310,11 +289,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except AntimagicError as exc:
+        doc, note, code = args.handler(args)
+        _emit(doc, args.out)
+        print(note, file=sys.stderr)
+        return code
+    except (OSError, AntimagicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError:

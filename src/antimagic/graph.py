@@ -228,8 +228,10 @@ def default_root(g: Graph) -> int:
 
 
 def _root(verts, deg: list[int]) -> int:
-    """Lowest-id vertex of maximum degree among `verts`: the root of every
-    breadth-first layering the constructors take."""
+    """Lowest-id vertex of maximum degree among `verts`: the root that
+    `default_root` gives `level_partition`. `_label_levels` picks the same
+    vertex for every component in one pass of its own, which is faster on
+    forests of many trees than one call here per component."""
     top = max(map(deg.__getitem__, verts))
     return min(v for v in verts if deg[v] == top)
 

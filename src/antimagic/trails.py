@@ -47,7 +47,8 @@ class TrailDecomposition(namedtuple("TrailDecomposition", "cross deep sigma trai
 
     def validate(self) -> None:
         """Raise InvalidTrails unless every structural invariant holds."""
-        deep = set(self.deep)
+        order = _listed(self.deep, "deep")
+        deep = set(order)
         try:  # an entry that is no (vertex, edge) pair fails to unpack, to hold v or to hash
             keys = [v for v, _ in self.sigma]
             sigma_edges = [e for _, e in self.sigma]
@@ -57,7 +58,7 @@ class TrailDecomposition(namedtuple("TrailDecomposition", "cross deep sigma trai
             bad = reprlib.repr(self.sigma)
             raise InvalidTrails(f"sigma must hold (vertex, edge) pairs, got {bad}") from None
         # keys listing the distinct deep vertices in order need no set of their own
-        listed = keys == list(self.deep) and len(keys) == len(deep)
+        listed = keys == order and len(keys) == len(deep)
         # one pass over all pairs accepts; the scan names the first fault
         if not (incident and (listed or deep.issuperset(keys))):
             for v, e in self.sigma:
@@ -70,8 +71,9 @@ class TrailDecomposition(namedtuple("TrailDecomposition", "cross deep sigma trai
         if not (listed or len(keys) == len(deep) == len(set(keys))):  # keys lie in deep
             raise InvalidTrails("sigma must choose exactly one edge per deep vertex")
 
+        trails = _listed(self.trails, "trails")
         ends: list[int] = []
-        for vs, kind in map(_pair, self.trails):
+        for vs, kind in map(_pair, trails):
             if type(vs) is not tuple and type(vs) is not list:
                 raise InvalidTrails(f"trail vertices {reprlib.repr(vs)} are not a tuple or a list")
             if len(vs) < 2:
@@ -85,7 +87,7 @@ class TrailDecomposition(namedtuple("TrailDecomposition", "cross deep sigma trai
             ends += first, last
         if len(set(ends)) != len(ends):
             raise InvalidTrails("two trails share an initial or terminal vertex")
-        walked = [(a, b) if a <= b else (b, a) for vs, _ in self.trails for a, b in pairwise(vs)]
+        walked = [(a, b) if a <= b else (b, a) for vs, _ in trails for a, b in pairwise(vs)]
         distinct.update(walked)
         if len(distinct) != len(sigma_edges) + len(walked):
             raise InvalidTrails("an edge is covered twice")
@@ -100,6 +102,14 @@ def _pair(entry: Trail) -> tuple:
     except (TypeError, ValueError):
         raise InvalidTrails(f"trail entry {reprlib.repr(entry)} is not a (vertices, kind) pair") from None
     return vs, kind
+
+
+def _listed(value: Iterable, field: str) -> list:
+    """`value` as a list; InvalidTrails naming `field` unless it is iterable."""
+    try:
+        return list(value)
+    except TypeError:
+        raise InvalidTrails(f"{field} must be iterable, got {reprlib.repr(value)}") from None
 
 
 def _int_list(values: Iterable[int], what: str) -> list[int]:
@@ -317,7 +327,8 @@ def label_trails(dec: TrailDecomposition, labels: Sequence[int] | range) -> dict
     pool = list(labels) if type(labels) is range else _int_list(labels, "label")
     if pool and pool != list(range(pool[0], pool[-1] + 1)):
         raise InvalidTrails(f"labels must form an ascending run, got {pool}")
-    trails = list(map(_pair, dec.trails))
+    trails = list(map(_pair, _listed(dec.trails, "trails")))
+    deep = set(_listed(dec.deep, "deep"))
     seqs = [vs for vs, _ in trails]
     if not all(type(vs) is tuple or type(vs) is list for vs in seqs):
         raise InvalidTrails(f"trail vertices must be a tuple or a list, got {reprlib.repr(dec.trails)}")
@@ -330,7 +341,6 @@ def label_trails(dec: TrailDecomposition, labels: Sequence[int] | range) -> dict
     if not pool:
         return {}
 
-    deep = set(dec.deep)
     # (trail vertices, whether its first edge takes a high label), in
     # labeling order; N trails go longest first (reverse=True keeps ties
     # in order), each first of a pair high from its deep end, each second

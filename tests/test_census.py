@@ -1,4 +1,5 @@
-"""A census of every tree on 3 to 10 vertices, every swept shift.
+"""A census of every tree on 3 to 10 vertices, every swept shift, and of
+every atlas graph with 1 to 10 edges.
 
 The trees are all of `networkx.nonisomorphic_trees`, counted against
 OEIS A000055. On each, every labeling `spectrum` returns must verify at
@@ -6,15 +7,21 @@ its shift, every shift it excludes on a tree with at most 7 edges must
 be refuted by enumerating all m! label orders, and the trees that
 exclude any shift are exactly the pinned fifteen, the stars, paths and
 double stars among them excluding what their closed forms say.
+
+The atlas graphs are the 705 of `networkx.graph_atlas_g` (every graph on
+up to 7 vertices) with 1 to 10 edges. Those without a window are exactly
+those with a single-edge component or two isolated vertices; on the rest
+the same checks hold, every excluded shift refuted by enumeration.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from collections import Counter
+from itertools import chain, permutations
 
 import pytest
 
-from antimagic.constructors import closed_form_spectrum
+from antimagic.constructors import ALL_SHIFTS, closed_form_spectrum
 from antimagic.families import double_star, path, star
 from antimagic.graph import build_graph
 from antimagic.labeling import verify_shifted
@@ -116,3 +123,51 @@ def test_exactly_the_pinned_trees_exclude_a_shift(census):
         else:
             family, params = closed
             assert excluded == closed_form_spectrum(family, **params), name
+
+
+@pytest.fixture(scope="module")
+def atlas():
+    """(graph, its spectrum) for every atlas graph with 1 to 10 edges."""
+    out = []
+    for a in nx.graph_atlas_g():
+        if 1 <= a.number_of_edges() <= 10:
+            g = build_graph(a.number_of_nodes(), list(a.edges()))
+            out.append((g, spectrum(g)))
+    return out
+
+
+def test_atlas_graphs_without_a_window_have_a_single_edge_or_two_isolated_vertices(atlas):
+    assert len(atlas) == 705
+    reasons = Counter()
+    for g, rep in atlas:
+        deg = Counter(chain.from_iterable(g.edges))
+        single_edge = any(deg[u] == deg[v] == 1 for u, v in g.edges)
+        two_isolated = g.n - len(deg) >= 2
+        assert (rep.window is None) == (single_edge or two_isolated), g.edges
+        if rep.window is None:
+            assert (rep.excluded, rep.entries) == (ALL_SHIFTS, ()), g.edges
+            reasons[single_edge, two_isolated] += 1
+    assert reasons == {(True, False): 44, (False, True): 39, (True, True): 8}
+
+
+def test_atlas_certificates_verify_and_exclusions_are_the_infeasible_rows(atlas):
+    for g, rep in atlas:
+        for row in rep.entries:
+            if row.certificate is not None:
+                assert row.certificate.graph == g
+                assert verify_shifted(row.certificate, row.k), (g.edges, row.k)
+        if rep.window is not None:
+            infeasible = [row.k for row in rep.entries if row.status == "infeasible"]
+            assert list(rep.excluded) == infeasible, g.edges
+
+
+def test_atlas_exclusions_agree_with_enumeration(atlas):
+    windowed = [(g, rep) for g, rep in atlas if rep.window is not None]
+    excluding = [(g, rep) for g, rep in windowed if rep.excluded]
+    assert (len(excluding), len(windowed) - len(excluding)) == (36, 578)
+    assert sum(len(rep.excluded) for _, rep in excluding) == 98
+    for g, rep in excluding:
+        assert g.m <= 7, g.edges
+        assert refuted_by_enumeration(g, rep.excluded), (g.edges, rep.excluded)
+        # and finds a labeling just above the sweep, where the window proves one
+        assert not refuted_by_enumeration(g, [rep.sweep_hi + 1]), g.edges

@@ -287,6 +287,44 @@ def test_output_file_option(tmp_path, capsys):
     assert json.loads(target.read_text()) == {"edges": 2, "threshold": 18}
 
 
+# one run of each command, with a certificate to verify at CERT
+OUT_COMMANDS = {
+    "construct": ["construct", "--family", "p8", "--k", "-3"],
+    "construct-infeasible": ["construct", "--family", "two_p4", "--k", "-5"],
+    "verify": ["verify", "CERT"],
+    "decide": ["decide", "--family", "p5", "--k", "0"],
+    "spectrum": ["spectrum", "--family", "p5"],
+    "threshold-p3": ["threshold-p3", "--edges", "2"],
+}
+
+
+def out_command(name, tmp_path, capsys):
+    """The argv of OUT_COMMANDS[name], with a p8 certificate written for CERT."""
+    cert = tmp_path / "cert.json"
+    assert run_cli(capsys, "construct", "--family", "p8", "--k", "-3", "--out", str(cert))[0] == 0
+    return [str(cert) if arg == "CERT" else arg for arg in OUT_COMMANDS[name]]
+
+
+@pytest.mark.parametrize("name", OUT_COMMANDS)
+def test_out_file_gets_the_bytes_stdout_gets(name, tmp_path, capsys):
+    argv = out_command(name, tmp_path, capsys)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == (2 if name == "construct-infeasible" else 0)
+    assert out.startswith("{") and err.count("\n") == 1
+    target = tmp_path / "out.json"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (code, "", err)
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("name", OUT_COMMANDS)
+def test_failed_write_exits_one_with_one_error_line(name, tmp_path, capsys):
+    argv = out_command(name, tmp_path, capsys)
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    # no summary line follows: the answer was never written
+    assert (code, out, err) == (1, "", f"error: [Errno 2] No such file or directory: '{target}'\n")
+
+
 def test_construct_frees_the_graph_before_the_emit(tmp_path, capsys, monkeypatch):
     # the certificate holds every edge again; the graph must not outlive it
     emit, live = cli._emit, []

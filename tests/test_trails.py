@@ -303,3 +303,18 @@ def test_trail_vertices_must_be_a_sequence():
         label_trails(dec, range(1, 2))
     with pytest.raises(InvalidTrails, match="trail vertices 5 are not a tuple or a list"):
         dec._replace(deep=()).validate()
+
+
+@pytest.mark.parametrize("field, value", [("trails", None), ("deep", None), ("deep", 5)])
+def test_deep_and_trails_must_be_iterable(field, value):
+    # each once raised a bare TypeError from iterating the field
+    dec = TrailDecomposition(build_graph(2, [(0, 1)]), (), (), ())._replace(**{field: value})
+    named = f"{field} must be iterable, got {value!r}"
+    with pytest.raises(InvalidTrails, match=re.escape(named)):
+        dec.validate()
+    with pytest.raises(InvalidTrails, match=re.escape(named)):
+        label_trails(dec, range(1, 1))
+    # and with a trail to label, past the empty-block return
+    held = dec if field == "trails" else dec._replace(trails=(Trail((0, 1), "N"),))
+    with pytest.raises(InvalidTrails, match=re.escape(named)):
+        label_trails(held, range(1, 2))
